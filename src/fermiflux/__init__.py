@@ -13,7 +13,9 @@ Layers:
 * ``machines`` -- depolarizing channels, the three-qubit fridge, synthesis of
   prescribed flux vectors on qubit registers.
 * ``deviations`` -- cumulant generating function of energy exchanges via a
-  4L x 4L spectral problem / algebraic Riccati equation, rate functions.
+  4L x 4L spectral problem / algebraic Riccati equation, split into two
+  2L x 2L particle and hole problems when the model is gauge invariant;
+  rate functions.
 * ``unravel`` -- quantum-jump Monte Carlo sampling of energy-exchange
   trajectories.
 * ``chain`` -- the two-bath nearest-neighbour fermionic chain with its

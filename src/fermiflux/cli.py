@@ -23,12 +23,10 @@ import numpy as np
 
 from . import __version__, chain, deviations, dynamics, fock, machines, thermal, unravel
 from .errors import (
-    DegenerateSpectrumError,
     FermifluxError,
     InfeasibleError,
     MalformedInputError,
     NotErgodicError,
-    NumericDegeneracyError,
     ValidationError,
 )
 
@@ -168,17 +166,13 @@ def cmd_e_alpha(args) -> int:
         a = _parse_alpha(text)
         try:
             e = deviations.e_alpha(model, a)
-        except (DegenerateSpectrumError, NumericDegeneracyError) as exc:
+        except deviations.NUMERIC_ERRORS as exc:
             log.error("e(alpha) failed at %s: %s", text, exc)
             _emit(args, out.getvalue())
             return EXIT_NONCONVERGED
         out.write(",".join(f"{x:.12e}" for x in a) + f",{e:.12e}\n")
     _emit(args, out.getvalue())
     return EXIT_OK
-
-
-def _single_rate_curve(model, zetas, alpha_max):
-    return deviations.rate_function(model, zetas, alpha_max=alpha_max)
 
 
 def cmd_rate(args) -> int:
@@ -473,7 +467,7 @@ def main(argv=None) -> int:
     except NotErgodicError as exc:
         print(f"non-ergodic model: {exc}", file=sys.stderr)
         return EXIT_NONERGODIC
-    except (DegenerateSpectrumError, NumericDegeneracyError) as exc:
+    except deviations.NUMERIC_ERRORS as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
     except FermifluxError as exc:

@@ -17,6 +17,20 @@ The eigenvalues of positive real part also determine the maximal solution of
 the associated algebraic Riccati equation, whose inverse-shifted form is the
 covariance of the deformed semigroup's dominant eigenvector.
 
+Everything in Z but the factors e^{+-alpha_i kappa_S} is independent of alpha,
+so it is computed once per model: A, the eigendecomposition
+kappa_S = V diag(w) V^* and the per-bath factors C+_i = V^* M_{beta_i} D_i,
+C-_i = V^* (1 - M_{beta_i}) D_i with D_i = Theta_i Theta_i^*.  Each evaluation
+then only forms B(+-alpha) = V sum_i e^{+-alpha_i w} C+-_i.
+
+Gauge-invariant models (the chain, the ``uniform`` and ``tr_broken`` random
+families) split further.  When kappa_S, A, M_{beta_i} D_i and
+(1 - M_{beta_i}) D_i are all block diagonal in the creation/annihilation basis,
+to SECTOR_TOL relative, Z is permutation-similar to
+diag(Z_particle, Z_hole), each 2L x 2L, and e(alpha) comes from the union of
+the two sector spectra with the same half-spectrum formula and checks.  Pairing
+models keep the single 4L x 4L problem in the Majorana basis.
+
 Sign conventions (pinned against the Fock oracle and the jump Monte Carlo):
 grad e(0) = +J (fluxes into the baths), e(alpha - beta) = e(-alpha), and the
 two-bath rate function I(zeta) = sup_a (a zeta - e((a, 0))) vanishes at
@@ -26,11 +40,15 @@ zeta = +J_0 and satisfies I(zeta) - I(-zeta) = -(beta_0 - beta_1) zeta.
 from __future__ import annotations
 
 import io
+import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 
+from . import dynamics
+from . import phasespace as ps
 from .errors import (
     DegenerateSpectrumError,
     InternalConsistencyError,
@@ -43,12 +61,126 @@ from .thermal import ThermalQuasiFreeModel
 
 SPLIT_TOL = 1e-8
 ALPHA_MAX = 50.0
+# off-diagonal CA blocks at most this fraction of the largest entry count as zero
+SECTOR_TOL = 1e-14
+# failures of the spectral evaluation itself, reported as non-convergence
+NUMERIC_ERRORS = (DegenerateSpectrumError, NumericDegeneracyError, InternalConsistencyError)
 
 
-def _exp_kappa(model: ThermalQuasiFreeModel, s: float) -> np.ndarray:
-    ks = model.kappa_s.maj
-    w, v = np.linalg.eigh(0.5 * (ks + ks.conj().T))
-    return (v * np.exp(s * w)) @ v.conj().T
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
+def _stack(a: np.ndarray, b_plus: np.ndarray, b_minus: np.ndarray) -> np.ndarray:
+    """[[A, B+], [B-, -A^*]], filled in place (np.block costs as much as a small eigensolve)."""
+    m = a.shape[0]
+    z = np.empty((2 * m, 2 * m), dtype=complex)
+    z[:m, :m] = a
+    z[:m, m:] = b_plus
+    z[m:, :m] = b_minus
+    z[m:, m:] = -a.conj().T
+    return z
+
+
+@dataclass(frozen=True, eq=False)
+class _Sector:
+    """The alpha-independent factors of Z on one invariant subspace.
+
+    With kappa_S = V diag(w) V^* there, B(alpha) = V sum_i e^{alpha_i w} C+_i
+    and B(-alpha at -beta) = V sum_i e^{-alpha_i w} C-_i.
+    """
+
+    a: np.ndarray        # A
+    w: np.ndarray        # eigenvalues of kappa_S
+    v: np.ndarray        # its eigenvectors, as columns
+    c_plus: np.ndarray   # (n_baths, m, m): C+_i = V^* M_beta_i D_i
+    c_minus: np.ndarray  # (n_baths, m, m): C-_i = V^* (1 - M_beta_i) D_i
+
+    @classmethod
+    def restrict(cls, kappa, a, md, omd, idx) -> "_Sector":
+        """Factors of the diagonal block ``idx`` of kappa_S, A, M D and (1 - M) D."""
+        k = kappa[idx, idx]
+        w, v = np.linalg.eigh(0.5 * (k + k.conj().T))
+        vh = v.conj().T
+        m = len(w)
+
+        def factor(mats):
+            return np.array([vh @ x[idx, idx] for x in mats], dtype=complex).reshape(len(mats), m, m)
+
+        return cls(*map(_frozen, (a[idx, idx], w, v, factor(md), factor(omd))))
+
+    def b_plus(self, alpha: np.ndarray) -> np.ndarray:
+        return self.v @ np.einsum("ik,ikl->kl", np.exp(np.outer(alpha, self.w)), self.c_plus)
+
+    def b_minus(self, alpha: np.ndarray) -> np.ndarray:
+        return self.v @ np.einsum("ik,ikl->kl", np.exp(np.outer(-alpha, self.w)), self.c_minus)
+
+    def z(self, alpha: np.ndarray) -> np.ndarray:
+        return _stack(self.a, self.b_plus(alpha), self.b_minus(alpha))
+
+
+@dataclass(frozen=True, eq=False)
+class _Factors:
+    """Per-model factors: the full Majorana problem and the sectors e(alpha) solves."""
+
+    full: _Sector
+    sectors: tuple       # (particle, hole) in the CA basis, or (full,)
+    theta_trace: float   # sum_i tr(Theta_i Theta_i^*)
+
+
+def _block_diagonal(x: np.ndarray, n_modes: int) -> bool:
+    off = max(np.max(np.abs(x[:n_modes, n_modes:])), np.max(np.abs(x[n_modes:, :n_modes])))
+    return off <= SECTOR_TOL * np.max(np.abs(x))
+
+
+def _build_factors(model: ThermalQuasiFreeModel) -> _Factors:
+    n_modes = model.n_modes
+    eye = np.eye(2 * n_modes)
+    kappa = model.kappa_s.maj
+    a = -1j * model.t_s.maj
+    md, omd = [], []
+    theta_trace = 0.0
+    for i, bath in enumerate(model.baths):
+        d = model.dissipation_matrix(i)
+        m_b = model.gibbs_system_covariance(bath.beta).maj
+        a = a + (m_b - 0.5 * eye) @ d
+        md.append(m_b @ d)
+        omd.append((eye - m_b) @ d)
+        theta_trace += float(np.trace(d).real)
+    full = _Sector.restrict(kappa, a, md, omd, slice(None))
+    p, p_inv = ps.ca_change_matrix(n_modes), ps.ca_change_inverse(n_modes)
+    kappa_ca, a_ca, *rest = [p @ x @ p_inv for x in (kappa, a, *md, *omd)]
+    if all(_block_diagonal(x, n_modes) for x in (kappa_ca, a_ca, *rest)):
+        nb = model.n_baths
+        sectors = tuple(
+            _Sector.restrict(kappa_ca, a_ca, rest[:nb], rest[nb:], idx)
+            for idx in (slice(0, n_modes), slice(n_modes, 2 * n_modes))
+        )
+    else:
+        sectors = (full,)
+    return _Factors(full=full, sectors=sectors, theta_trace=theta_trace)
+
+
+# Models are immutable, so their factors are cached by identity and freed with them.
+_FACTORS: "weakref.WeakKeyDictionary[ThermalQuasiFreeModel, _Factors]" = weakref.WeakKeyDictionary()
+_FACTORS_LOCK = threading.Lock()
+
+
+def _factors(model: ThermalQuasiFreeModel) -> _Factors:
+    with _FACTORS_LOCK:
+        f = _FACTORS.get(model)
+        if f is None:
+            f = _FACTORS[model] = _build_factors(model)
+    return f
+
+
+def _check_alpha(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (model.n_baths,):
+        raise MalformedInputError("alpha must have one entry per bath")
+    return alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,37 +205,22 @@ class DeformedBlocks:
 
 def deformed_blocks(model: ThermalQuasiFreeModel, alpha) -> DeformedBlocks:
     """Assemble all blocks in the Majorana basis."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (model.n_baths,):
-        raise MalformedInputError("alpha must have one entry per bath")
-    n = 2 * model.n_modes
-    ts = model.t_s.maj
-    a = -1j * ts
-    b_plus = np.zeros((n, n), dtype=complex)
-    b_minus = np.zeros((n, n), dtype=complex)
-    q = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n)
-    for i, bath in enumerate(model.baths):
-        dd = model.dissipation_matrix(i)
-        m_b = model.gibbs_system_covariance(bath.beta).maj
-        e_plus = _exp_kappa(model, alpha[i])
-        e_minus = _exp_kappa(model, -alpha[i])
-        a += (m_b - 0.5 * eye) @ dd
-        b_plus += e_plus @ m_b @ dd
-        b_minus += e_minus @ (eye - m_b) @ dd
-        q += dd @ m_b @ (e_plus - eye)
-    g = -1j * ts - 0.5 * sum(model.dissipation_matrix(i) for i in range(model.n_baths)) - q
+    alpha = _check_alpha(model, alpha)
+    full = _factors(model).full
+    # q = sum_i D_i M_i V (e^{alpha_i w} - 1) V^*, with D_i M_i V = (C+_i)^*
+    q = np.einsum("ikl,ik,mk->lm", full.c_plus.conj(), np.expm1(np.outer(alpha, full.w)), full.v.conj())
+    g = dynamics.drift(model).maj - q
     c = q - q.T  # xi-transpose is the plain transpose in the Majorana basis
-    return DeformedBlocks(a=a, b_plus=b_plus, b_minus=b_minus, q=q, g=g, c=c)
+    return DeformedBlocks(a=full.a, b_plus=full.b_plus(alpha), b_minus=full.b_minus(alpha), q=q, g=g, c=c)
 
 
 def build_z(blocks: DeformedBlocks) -> np.ndarray:
     """The doubled matrix whose right-half-plane spectrum carries e(alpha)."""
-    return np.block([[blocks.a, blocks.b_plus], [blocks.b_minus, -blocks.a.conj().T]])
+    return _stack(blocks.a, blocks.b_plus, blocks.b_minus)
 
 
-def _split_spectrum(z: np.ndarray, split_tol: float):
-    lam = np.linalg.eigvals(z)
+def _split_spectrum(lam: np.ndarray, split_tol: float) -> np.ndarray:
+    """The eigenvalues of positive real part, which must be exactly half of ``lam``."""
     near = np.abs(lam.real) < split_tol
     if np.any(near):
         raise DegenerateSpectrumError(
@@ -114,19 +231,16 @@ def _split_spectrum(z: np.ndarray, split_tol: float):
         raise DegenerateSpectrumError(
             f"right-half-plane count {len(plus)} != {len(lam) // 2}; spectrum not split evenly"
         )
-    return lam, plus
-
-
-def _theta_trace(model: ThermalQuasiFreeModel) -> float:
-    tot = sum(np.trace(model.dissipation_matrix(i)).real for i in range(model.n_baths))
-    return float(tot)
+    return plus
 
 
 def e_alpha(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TOL, imag_tol: float = 1e-8) -> float:
-    """Cumulant generating function by the half-spectrum sum."""
-    z = build_z(deformed_blocks(model, alpha))
-    _, plus = _split_spectrum(z, split_tol)
-    val = 0.5 * plus.sum() - 0.25 * _theta_trace(model)
+    """Cumulant generating function by the half-spectrum sum over all sectors of Z."""
+    alpha = _check_alpha(model, alpha)
+    f = _factors(model)
+    lam = np.concatenate([np.linalg.eigvals(s.z(alpha)) for s in f.sectors])
+    plus = _split_spectrum(lam, split_tol)
+    val = 0.5 * plus.sum() - 0.25 * f.theta_trace
     if abs(val.imag) > imag_tol:
         raise InternalConsistencyError(f"e(alpha) has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -153,7 +267,8 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TO
     """
     blocks = deformed_blocks(model, alpha)
     z = build_z(blocks)
-    lam, plus = _split_spectrum(z, split_tol)
+    lam = np.linalg.eigvals(z)
+    plus = _split_spectrum(lam, split_tol)
     n = z.shape[0] // 2
     t, q, k = sla.schur(z, output="complex", sort=lambda x: x.real > 0)
     if k != n:
@@ -167,8 +282,9 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TO
     x = 0.5 * (x + x.conj().T)
     m = np.linalg.inv(np.eye(n) + x)
     m = 0.5 * (m + m.conj().T)
-    e_spec = 0.5 * plus.sum().real - 0.25 * _theta_trace(model)
-    e_trace = 0.5 * np.trace(blocks.a + x @ blocks.b_plus).real - 0.25 * _theta_trace(model)
+    theta_trace = _factors(model).theta_trace
+    e_spec = 0.5 * plus.sum().real - 0.25 * theta_trace
+    e_trace = 0.5 * np.trace(blocks.a + x @ blocks.b_plus).real - 0.25 * theta_trace
     if abs(e_trace - e_spec) > 1e-7 * max(1.0, abs(e_spec)):
         raise InternalConsistencyError(
             f"trace formula {e_trace:.6e} disagrees with half-spectrum sum {e_spec:.6e}"
@@ -296,8 +412,9 @@ def rate_function(
     Two-bath models only (the supremum is one-dimensional after the
     translation invariance e(alpha + c 1) = e(alpha)).  Each maximization is
     warm-started from the previous grid point's maximizer; points where the
-    walk escapes |alpha| <= alpha_max are reported as I = +inf with
-    ``converged`` False.
+    walk escapes |alpha| <= alpha_max, or where an evaluation of e inside
+    the search fails numerically (one of NUMERIC_ERRORS), are reported as
+    I = +inf with ``converged`` False, and the next point is searched.
     """
     if model.n_baths != 2:
         raise UnsupportedModelError("rate_function needs a two-bath model")
@@ -315,7 +432,11 @@ def rate_function(
         def obj(a, _z=float(zeta)):
             return a * _z - e_of(a)
 
-        astar, val, converged = _maximize_concave(obj, warm, alpha_max, xtol)
+        try:
+            astar, val, converged = _maximize_concave(obj, warm, alpha_max, xtol)
+        except NUMERIC_ERRORS:
+            points.append(RatePoint(zeta=float(zeta), rate=np.inf, alpha_star=np.nan, converged=False))
+            continue
         if not converged:
             points.append(RatePoint(zeta=float(zeta), rate=np.inf, alpha_star=float(astar), converged=False))
         else:

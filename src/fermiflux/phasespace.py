@@ -146,22 +146,6 @@ class CouplingMatrix:
         return self.to_basis(Basis.CA).data
 
 
-def basis_convert(m: PhaseSpaceMatrix, target: Basis) -> PhaseSpaceMatrix:
-    """Express the operator in the target basis (identity when already there)."""
-    return m.to_basis(target)
-
-
-def xi_conjugate(m):
-    """xi M xi for a square matrix, or xi_S Theta xi_B for a coupling.
-
-    Antilinear conjugation; in the Majorana basis it is entrywise complex
-    conjugation, in the CA basis a block swap composed with conjugation.
-    """
-    if isinstance(m, CouplingMatrix):
-        return CouplingMatrix(np.conj(m.maj), Basis.MAJORANA).to_basis(m.basis)
-    return PhaseSpaceMatrix(np.conj(m.maj), Basis.MAJORANA).to_basis(m.basis)
-
-
 def xi_transpose(m: PhaseSpaceMatrix) -> PhaseSpaceMatrix:
     """The transpose xi M^dagger xi; plain transposition in the Majorana basis.
 

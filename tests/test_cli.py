@@ -3,7 +3,8 @@ import json
 
 import numpy as np
 
-from fermiflux import chain, cli, thermal
+from fermiflux import chain, cli, deviations, thermal
+from fermiflux.errors import InternalConsistencyError
 
 
 def run_cli(args):
@@ -87,6 +88,41 @@ class TestEAlpha:
         _, rows = read_rows(out)
         assert abs(float(rows[0][2]) - 0.036025584191812676) < 1e-10
         assert abs(float(rows[1][2])) < 1e-9
+
+
+def _failing_past(fn, limit):
+    """``fn`` that raises InternalConsistencyError once some |alpha| entry exceeds ``limit``."""
+
+    def wrapped(model, a, **kw):
+        if np.max(np.abs(a)) > limit:
+            raise InternalConsistencyError("injected numeric failure")
+        return fn(model, a, **kw)
+
+    return wrapped
+
+
+class TestNumericFailure:
+    def test_rate_marks_points_and_exits_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(deviations, "e_two_bath", _failing_past(deviations.e_two_bath, 1.0))
+        out = tmp_path / "rate.csv"
+        code = run_cli([
+            "rate", "--chain-L", "2", "--zeta-min", "0.05", "--zeta-max", "0.5",
+            "--points", "4", "--out", str(out),
+        ])
+        assert code == 4
+        _, rows = read_rows(out)
+        assert len(rows) == 4
+        assert rows[0][3] == "1" and float(rows[0][1]) < 1e-2
+        assert rows[-1][1] == "inf" and rows[-1][3] == "0"
+
+    def test_e_alpha_keeps_rows_and_exits_4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(deviations, "e_alpha", _failing_past(deviations.e_alpha, 1.0))
+        out = tmp_path / "e.csv"
+        code = run_cli(["e-alpha", "--chain-L", "2", "--alpha", "0.3,0", "--alpha", "2,0", "--out", str(out)])
+        assert code == 4
+        _, rows = read_rows(out)
+        assert len(rows) == 1
+        assert abs(float(rows[0][2]) - 0.036025584191812676) < 1e-10
 
 
 class TestRate:

@@ -1,8 +1,14 @@
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from fermiflux import chain, deviations, dynamics, fock, thermal
 from fermiflux.errors import UnsupportedModelError
+from fermiflux.randgen import random_thermal_model
 
 from conftest import make_models
 
@@ -247,3 +253,120 @@ class TestRateFunction:
         model = make_models(13, 1, n_baths=3)[0]
         with pytest.raises(UnsupportedModelError):
             deviations.rate_function(model, [0.0])
+
+
+def _half_spectrum_e(model, a):
+    """e(alpha) from the full 4L x 4L Majorana Z, with no sector split."""
+    lam = np.linalg.eigvals(deviations.build_z(deviations.deformed_blocks(model, a)))
+    tr = sum(np.trace(model.dissipation_matrix(i)).real for i in range(model.n_baths))
+    return 0.5 * lam[lam.real > 0].sum().real - 0.25 * tr
+
+
+def _mp_e_alpha(model, alpha, dps=60):
+    """e(alpha) from the 4L x 4L Majorana Z built and diagonalised in mpmath."""
+    import mpmath as mp
+
+    def mat(x):
+        return mp.matrix(np.asarray(x).tolist())
+
+    with mp.workdps(dps):
+        ks = mat(model.kappa_s.maj)
+        n = ks.rows
+        eye = mp.eye(n)
+        a = -1j * mat(model.t_s.maj)
+        b_plus, b_minus, tr = mp.zeros(n), mp.zeros(n), 0
+        for i, bath in enumerate(model.baths):
+            th = mat(bath.theta.maj)
+            d = th * th.H
+            m_b = mp.inverse(eye + mp.expm(-bath.beta * ks))
+            a += (m_b - eye / 2) * d
+            b_plus += mp.expm(alpha[i] * ks) * m_b * d
+            b_minus += mp.expm(-alpha[i] * ks) * (eye - m_b) * d
+            tr += sum(d[k, k] for k in range(n))
+        z = mp.zeros(2 * n)
+        for r in range(n):
+            for c in range(n):
+                z[r, c] = a[r, c]
+                z[r, n + c] = b_plus[r, c]
+                z[n + r, c] = b_minus[r, c]
+                z[n + r, n + c] = -mp.conj(a[c, r])
+        lam = mp.eig(z, left=False, right=False)
+        return float(mp.re(sum(x for x in lam if mp.re(x) > 0) / 2 - tr / 4))
+
+
+class TestSectorSplit:
+    def _gauge_invariant_models(self):
+        models = [chain.build(chain.ChainSpec(length=n)) for n in range(1, 7)]
+        r = np.random.default_rng(17)
+        for kind in ("uniform", "tr_broken"):
+            models += [random_thermal_model(r, n_modes=n, kind=kind) for n in (1, 2, 3, 4)]
+        return models
+
+    def test_sectors_match_full_problem(self):
+        r = np.random.default_rng(18)
+        for model in self._gauge_invariant_models():
+            sectors = deviations._factors(model).sectors
+            assert [s.a.shape[0] for s in sectors] == [model.n_modes] * 2
+            for _ in range(6):
+                a = r.uniform(-3.0, 3.0, model.n_baths)
+                ref = _half_spectrum_e(model, a)
+                assert abs(deviations.e_alpha(model, a) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_pairing_models_take_full_path(self):
+        r = np.random.default_rng(19)
+        for n in (2, 3, 4):
+            model = random_thermal_model(r, n_modes=n, n_baths=n, kind="spectral")
+            sectors = deviations._factors(model).sectors
+            assert len(sectors) == 1
+            assert sectors[0].a.shape == (2 * n, 2 * n)
+
+    def test_rate_tails_converge_against_fock(self, chain2):
+        # the expanding bracket walks out to |alpha| ~ 20 on these tails
+        for tail in (np.linspace(-1.0, -0.3, 4), np.linspace(1.5, 3.0, 4)):
+            for p in deviations.rate_function(chain2, tail).points:
+                assert p.converged
+                lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(chain2, [p.alpha_star, 0.0]))
+                assert abs(lam.real - (p.alpha_star * p.zeta - p.rate)) < 1e-8
+
+    @pytest.mark.parametrize("a", [10.0, -10.0, 20.0, -20.0, 30.0, -30.0, 50.0, -50.0])
+    def test_large_alpha_against_mpmath(self, chain2, a):
+        # the Fock oracle itself drifts above |alpha| = 10, so the reference is
+        # the same Z at 60 digits
+        ref = _mp_e_alpha(chain2, [a, 0.0])
+        assert abs(deviations.e_two_bath(chain2, a) - ref) <= 1e-12 * abs(ref)
+
+
+class TestFactorCache:
+    def test_freed_with_model(self):
+        model = chain.build(chain.ChainSpec(length=3))
+        deviations.e_two_bath(model, 0.2)
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_threads_share_fresh_models(self):
+        alphas = np.linspace(-2.0, 2.0, 9)
+        specs = [chain.ChainSpec(length=n) for n in (2, 3, 4)]
+        expected = [[deviations.e_two_bath(chain.build(s), a) for a in alphas] for s in specs]
+        models = [chain.build(s) for s in specs]
+        results = {}
+
+        def work(k):
+            j = k % len(models)
+            results[k] = [deviations.e_two_bath(models[j], a) for a in alphas]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(results) == list(range(8))
+        for k, vals in results.items():
+            assert vals == expected[k % len(models)]
