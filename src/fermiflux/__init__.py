@@ -6,8 +6,9 @@ Layers:
   Gibbs covariance matrices.
 * ``fock`` -- brute-force superoperators on the full 2^L fermionic space,
   used as the reference oracle for everything else.
-* ``dynamics`` -- covariance-matrix evolution, Lyapunov stationary states,
-  Kalman ergodicity test.
+* ``dynamics`` -- covariance-matrix evolution, Bartels-Stewart Lyapunov
+  stationary states, Kalman ergodicity in its Popov-Belevitch-Hautus
+  (eigenspace) form.
 * ``thermal`` -- model assembly/validation, mean energy fluxes, entropy
   production, partial-sum flux inequalities and pairwise flux certificates.
 * ``machines`` -- depolarizing channels, the three-qubit fridge, synthesis of

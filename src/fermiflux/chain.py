@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import phasespace as ps
+from . import dynamics, phasespace as ps
 from .errors import NotErgodicError
 from .phasespace import PhaseSpaceMatrix
 from .thermal import BathSpec, ThermalQuasiFreeModel
@@ -101,10 +101,7 @@ def small_stationary(spec: ChainSpec) -> np.ndarray:
     g = small_drift(spec)
     th = small_coupling(spec)
     noise = th @ np.diag([occupation(spec.beta0), occupation(spec.betaL)]) @ th.T
-    n = spec.length
-    a = np.kron(g, np.eye(n)) + np.kron(np.eye(n), g.conj())
-    m = np.linalg.solve(a, -noise.reshape(-1).astype(complex)).reshape(n, n)
-    return 0.5 * (m + m.conj().T)
+    return dynamics._lyapunov(g, noise)[0]
 
 
 def embed_small_covariance(m_small: np.ndarray) -> PhaseSpaceMatrix:

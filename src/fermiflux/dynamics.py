@@ -8,9 +8,21 @@ The covariance of the reduced state obeys the closed linear equation
 and the model is ergodic iff the Kalman space span{ran(T_S^k Theta)} is the
 whole phase space, in which case the Lyapunov equation G M + M G* + noise = 0
 has a unique solution, the stationary covariance.
+
+Ergodicity is tested in the Popov-Belevitch-Hautus (PBH) form, which is
+equivalent to the Kalman rank condition: T_S is self-adjoint, so the
+orthogonal complement of the Kalman space is spanned by the eigenvectors of
+T_S that Theta^* annihilates.  With U_k an orthonormal basis of the k-th
+eigenspace of T_S, the model is ergodic iff every Theta^* U_k has full column
+rank, and the null vectors of the deficient ones span the unreachable
+subspace.  This form needs one ``eigh`` and stays well conditioned, where the
+monomial Krylov basis T_S^k Theta loses rank numerically on long chains.  The
+Lyapunov equation is solved by the Bartels-Stewart (Schur) method in O((2L)^3).
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 import scipy.linalg as sla
@@ -20,6 +32,12 @@ from .phasespace import Basis, PhaseSpaceMatrix
 from .thermal import ThermalQuasiFreeModel
 
 LYAPUNOV_TOL = 1e-10
+# eigenvalues of T_S closer than this, relative to max(1, ||T_S||), form one eigenspace
+CLUSTER_RTOL = 1e-8
+# singular values of Theta^* U_k at most this times ||Theta|| are unreachable directions
+KALMAN_RTOL = 1e-9
+
+log = logging.getLogger(__name__)
 
 
 def drift(model: ThermalQuasiFreeModel) -> PhaseSpaceMatrix:
@@ -29,23 +47,30 @@ def drift(model: ThermalQuasiFreeModel) -> PhaseSpaceMatrix:
     return PhaseSpaceMatrix(g, Basis.MAJORANA)
 
 
-def kalman_matrix(model: ThermalQuasiFreeModel) -> np.ndarray:
-    """[Theta, T_S Theta, ..., T_S^{2L-1} Theta], columns spanning the Kalman space."""
+def _reachable_basis(model: ThermalQuasiFreeModel, rtol: float) -> np.ndarray:
+    """Orthonormal basis of the Kalman space, eigenspace by eigenspace of T_S.
+
+    In each eigenspace U_k the directions with a singular value of Theta^* U_k
+    at most rtol * ||Theta|| are unreachable; the right singular vectors above
+    it, mapped back through U_k, are reachable.
+    """
     theta = model.theta_total()
-    ts = model.t_s.maj
-    blocks = [theta]
-    for _ in range(2 * model.n_modes - 1):
-        blocks.append(ts @ blocks[-1])
-    return np.hstack(blocks)
+    t = model.t_s.maj
+    w, u = np.linalg.eigh(0.5 * (t + t.conj().T))
+    gap = CLUSTER_RTOL * max(1.0, float(np.abs(w).max()))
+    threshold = rtol * (np.linalg.norm(theta, 2) if theta.size else 0.0)
+    reach, margin = [], np.inf
+    for uk in np.split(u, np.flatnonzero(np.diff(w) > gap) + 1, axis=1):
+        _, s, vh = np.linalg.svd(theta.conj().T @ uk)
+        reach.append(uk @ vh[: int(np.sum(s > threshold))].conj().T)
+        margin = min(margin, s.min() if s.size == uk.shape[1] else 0.0)
+    log.debug("PBH margin %.3e against threshold %.3e", margin, threshold)
+    return np.hstack(reach)
 
 
-def kalman_rank(model: ThermalQuasiFreeModel, rtol: float = 1e-9) -> tuple[int, bool]:
-    """Rank of the Kalman matrix and whether it is full (ergodicity criterion)."""
-    k = kalman_matrix(model)
-    if k.shape[1] == 0:
-        return 0, model.n_modes == 0
-    s = np.linalg.svd(k, compute_uv=False)
-    rank = int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
+def kalman_rank(model: ThermalQuasiFreeModel, rtol: float = KALMAN_RTOL) -> tuple[int, bool]:
+    """Dimension of the Kalman space and whether it is the whole phase space (ergodicity)."""
+    rank = _reachable_basis(model, rtol).shape[1]
     return rank, rank == 2 * model.n_modes
 
 
@@ -80,25 +105,27 @@ def evolve(m0: PhaseSpaceMatrix, model: ThermalQuasiFreeModel, t: float) -> Phas
     return PhaseSpaceMatrix(m, Basis.MAJORANA).to_basis(m0.basis)
 
 
+def _lyapunov(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Hermitian solution M of G M + M G* + C = 0 (Bartels-Stewart) and its residual norm."""
+    m = sla.solve_continuous_lyapunov(g, -c)
+    m = 0.5 * (m + m.conj().T)
+    resid = float(np.linalg.norm(g @ m + m @ g.conj().T + c, 2))
+    log.debug("Lyapunov residual %.3e at dimension %d", resid, g.shape[0])
+    return m, resid
+
+
 def stationary_covariance(model: ThermalQuasiFreeModel, residual_tol: float = LYAPUNOV_TOL) -> PhaseSpaceMatrix:
     """Unique solution of G M + M G* + noise = 0 for an ergodic model.
 
-    Solved by vectorizing to the Kronecker linear system; refuses (rather than
-    silently picking one of many solutions) when Kalman rank is deficient.
+    Solved by the Schur-based Bartels-Stewart method; refuses (rather than
+    silently picking one of many solutions) when the Kalman rank is deficient.
     """
     rank, full = kalman_rank(model)
     if not full:
         raise NotErgodicError(
             f"Kalman rank {rank} < {2 * model.n_modes}: stationary covariance is not unique"
         )
-    g = drift(model).maj
-    c = noise_matrix(model)
-    n = g.shape[0]
-    # row-major vec: vec(G M + M G*) = (G kron 1 + 1 kron conj(G)) vec(M)
-    a = np.kron(g, np.eye(n)) + np.kron(np.eye(n), g.conj())
-    m = np.linalg.solve(a, -c.reshape(-1)).reshape(n, n)
-    m = 0.5 * (m + m.conj().T)
-    resid = np.linalg.norm(g @ m + m @ g.conj().T + c, 2)
+    m, resid = _lyapunov(drift(model).maj, noise_matrix(model))
     if resid > residual_tol:
         raise NotErgodicError(f"Lyapunov residual {resid:.3e} exceeds {residual_tol:.1e}")
     return PhaseSpaceMatrix(m, Basis.MAJORANA)
@@ -113,19 +140,14 @@ def stationary_covariance_restricted(model: ThermalQuasiFreeModel):
     and carries the Gibbs mean (1/2) on the orthogonal complement.  Results for
     deficient models should be treated as representative, not unique.
     """
-    rank, full = kalman_rank(model)
-    if full:
-        return stationary_covariance(model), True
-    k = kalman_matrix(model)
+    v = _reachable_basis(model, KALMAN_RTOL)
     n = 2 * model.n_modes
-    if rank == 0:
+    if v.shape[1] == n:
+        return stationary_covariance(model), True
+    if v.shape[1] == 0:
         return PhaseSpaceMatrix(0.5 * np.eye(n), Basis.MAJORANA), False
-    u, s, _ = np.linalg.svd(k)
-    v = u[:, :rank]  # orthonormal basis of the Kalman space
     g = v.conj().T @ drift(model).maj @ v
     c = v.conj().T @ noise_matrix(model) @ v
-    a = np.kron(g, np.eye(rank)) + np.kron(np.eye(rank), g.conj())
-    m_small = np.linalg.solve(a, -c.reshape(-1)).reshape(rank, rank)
-    m_small = 0.5 * (m_small + m_small.conj().T)
+    m_small, _ = _lyapunov(g, c)
     m = v @ m_small @ v.conj().T + 0.5 * (np.eye(n) - v @ v.conj().T)
     return PhaseSpaceMatrix(m, Basis.MAJORANA), False

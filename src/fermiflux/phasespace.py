@@ -28,6 +28,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +50,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)
 def ca_change_matrix(n_modes: int) -> np.ndarray:
-    """P with CA coordinates = P @ Majorana coordinates."""
+    """P with CA coordinates = P @ Majorana coordinates (shared, read-only)."""
     one = np.eye(n_modes)
-    return np.block([[one, 1j * one], [one, -1j * one]])
+    return _freeze(np.block([[one, 1j * one], [one, -1j * one]]))
 
 
+@functools.lru_cache(maxsize=None)
 def ca_change_inverse(n_modes: int) -> np.ndarray:
+    """P^{-1} (shared, read-only)."""
     one = np.eye(n_modes)
-    return 0.5 * np.block([[one, one], [-1j * one, 1j * one]])
+    return _freeze(0.5 * np.block([[one, one], [-1j * one, 1j * one]]))
 
 
 def _check_even(dim: int) -> int:
@@ -89,11 +93,13 @@ class PhaseSpaceMatrix:
         return self.dim // 2
 
     def to_basis(self, target: Basis) -> "PhaseSpaceMatrix":
-        if target == self.basis:
-            return self
-        L = self.n_modes
-        P, Pinv = ca_change_matrix(L), ca_change_inverse(L)
-        if target == Basis.CA:
+        return self if target == self.basis else self._other_basis
+
+    @functools.cached_property
+    def _other_basis(self) -> "PhaseSpaceMatrix":
+        # the data is read-only, so the other-basis view is computed once and kept
+        P, Pinv = ca_change_matrix(self.n_modes), ca_change_inverse(self.n_modes)
+        if self.basis == Basis.MAJORANA:
             return PhaseSpaceMatrix(P @ self.data @ Pinv, Basis.CA)
         return PhaseSpaceMatrix(Pinv @ self.data @ P, Basis.MAJORANA)
 
@@ -130,10 +136,12 @@ class CouplingMatrix:
         return self.data.shape[1] // 2
 
     def to_basis(self, target: Basis) -> "CouplingMatrix":
-        if target == self.basis:
-            return self
+        return self if target == self.basis else self._other_basis
+
+    @functools.cached_property
+    def _other_basis(self) -> "CouplingMatrix":
         Ls, Lb = self.n_system_modes, self.n_bath_modes
-        if target == Basis.CA:
+        if self.basis == Basis.MAJORANA:
             return CouplingMatrix(ca_change_matrix(Ls) @ self.data @ ca_change_inverse(Lb), Basis.CA)
         return CouplingMatrix(ca_change_inverse(Ls) @ self.data @ ca_change_matrix(Lb), Basis.MAJORANA)
 

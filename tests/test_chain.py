@@ -122,6 +122,28 @@ class TestFlux:
             j = thermal.fluxes(model, dynamics.stationary_covariance(model))
             assert abs(j[0] - 2.0 * abs(m[0, 1].imag) * np.sign(j[0])) < 1e-10
 
+    def test_long_drawn_chains(self):
+        # every chain is ergodic, however long; end couplings and
+        # temperatures drawn from the flux benchmark's ranges
+        r = np.random.default_rng(17)
+        for length in range(17, 51):
+            spec = chain.ChainSpec(
+                length=length,
+                theta0=r.uniform(0.5, 1.5),
+                thetaL=r.uniform(0.5, 1.5),
+                beta0=r.uniform(0.0, 2.0),
+                betaL=r.uniform(-0.5, 0.5),
+            )
+            model = chain.build(spec)
+            rank, full = dynamics.kalman_rank(model)
+            assert full and rank == 2 * length
+            cov = dynamics.stationary_covariance(model)
+            g, m = dynamics.drift(model).maj, cov.maj
+            resid = np.linalg.norm(g @ m + m @ g.conj().T + dynamics.noise_matrix(model), 2)
+            assert resid <= dynamics.LYAPUNOV_TOL
+            j = thermal.fluxes(model, cov)
+            assert abs(j[0] - chain.closed_form(spec).flux) < 1e-10
+
     def test_equilibrium_zero(self):
         cf = chain.closed_form(chain.ChainSpec(length=2, beta0=0.7, betaL=0.7))
         assert cf.j == 0.0 and cf.flux == 0.0

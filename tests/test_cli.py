@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 
 import numpy as np
 
@@ -57,6 +58,25 @@ class TestFlux:
         assert run_cli(["flux", "--model", str(path), "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert abs(float(rows[0][2]) - 0.09242343) < 1e-7
+
+    def test_long_chain(self, tmp_path):
+        out = tmp_path / "flux.csv"
+        assert run_cli(["flux", "--chain-L", "100", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        tail = {r[0]: float(r[2]) for r in rows}
+        assert abs(tail["sum_J"]) <= 1e-10
+
+    def test_debug_logging_leaves_csv_unchanged(self, tmp_path, caplog):
+        outs = []
+        for k, level in enumerate((logging.WARNING, logging.DEBUG)):
+            out = tmp_path / f"f{k}.csv"
+            with caplog.at_level(level, logger="fermiflux.dynamics"):
+                assert run_cli(["flux", "--chain-L", "3", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        messages = [r.getMessage() for r in caplog.records if r.name == "fermiflux.dynamics"]
+        assert any(m.startswith("PBH margin") for m in messages)
+        assert any(m.startswith("Lyapunov residual") for m in messages)
 
     def test_requires_one_source(self):
         assert run_cli(["flux"]) == 1
@@ -268,6 +288,13 @@ class TestChainSweep:
         fluxes = [float(r[1]) for r in rows]
         assert np.ptp(fluxes) < 1e-12
         assert max(float(r[-1]) for r in rows) < 1e-10
+
+    def test_long_chains_match_closed_form(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["chain-sweep", "--chain-L", "2-60", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [int(r[0]) for r in rows] == list(range(2, 61))
+        assert max(float(r[-1]) for r in rows) <= 1e-10
 
 
 class TestDeterminism:

@@ -1,10 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fermiflux import chain, dynamics, fock, thermal
 from fermiflux import phasespace as ps
 from fermiflux.errors import NotErgodicError
 from fermiflux.phasespace import Basis, CouplingMatrix, PhaseSpaceMatrix
+from fermiflux.randgen import random_thermal_model
 from fermiflux.thermal import BathSpec, ThermalQuasiFreeModel
 
 from conftest import make_models
@@ -30,6 +34,28 @@ def random_pair(rng, n_modes, n_bath_modes=1):
     bath = BathSpec(beta=0.5, kappa=kappa_b, theta=theta)
     kappa_s = PhaseSpaceMatrix(np.zeros((2 * n_modes, 2 * n_modes)), Basis.MAJORANA)
     return ThermalQuasiFreeModel(t_s=t_s, kappa_s=kappa_s, baths=(bath,))
+
+
+def _with_idle_mode(model, energy):
+    """The model plus one mode that no bath reaches (padded in the Majorana basis)."""
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def pad(a, b):
+        return sla.block_diag(a, 1j * b * rot)
+
+    baths = tuple(
+        BathSpec(
+            beta=b.beta,
+            kappa=b.kappa,
+            theta=CouplingMatrix(np.vstack([b.theta.maj, np.zeros((2, 2 * b.n_modes))])),
+        )
+        for b in model.baths
+    )
+    return ThermalQuasiFreeModel(
+        t_s=PhaseSpaceMatrix(pad(model.t_s.maj, energy)),
+        kappa_s=PhaseSpaceMatrix(pad(model.kappa_s.maj, 1.0)),
+        baths=baths,
+    )
 
 
 class TestDrift:
@@ -73,6 +99,21 @@ class TestKalman:
         _, full = dynamics.kalman_rank(_decoupled_site_model())
         assert not full
 
+    def test_dark_combination_in_degenerate_eigenspace(self):
+        # two equal-energy sites fed by one bath in phase: the antisymmetric
+        # combination is dark, although no single site is unreachable
+        t_s = ps.embed_gauge_invariant(np.diag([0.5, 0.5]), "generator")
+        kappa_s = ps.embed_gauge_invariant(np.eye(2), "generator")
+        kappa_b = ps.embed_gauge_invariant(np.eye(1), "generator")
+        theta = ps.embed_gauge_invariant_coupling(np.array([[1.0], [1.0]]))
+        bath = BathSpec(beta=0.6, kappa=kappa_b, theta=theta)
+        model = ThermalQuasiFreeModel(t_s=t_s, kappa_s=kappa_s, baths=(bath,))
+        assert dynamics.kalman_rank(model) == (2, False)
+        assert np.linalg.eigvals(dynamics.drift(model).maj).real.max() > -1e-10
+        m, ergodic = dynamics.stationary_covariance_restricted(model)
+        assert not ergodic
+        ps.validate_covariance(m, tol=1e-8)
+
     def test_equivalent_to_spectral_stability(self):
         # full Kalman rank iff every drift eigenvalue is strictly damped
         r = np.random.default_rng(5)
@@ -84,6 +125,31 @@ class TestKalman:
             assert full == stable
             agree += 1
         assert agree == 100
+
+    @pytest.mark.parametrize("kind", ["spectral", "uniform", "tr_broken"])
+    def test_pbh_matches_drift_stability(self, kind):
+        # PBH ergodicity <=> every drift eigenvalue strictly damped, on drawn
+        # thermal models and on the same models with an unreachable mode added
+        r = np.random.default_rng(41)
+        for _ in range(40):
+            n_modes = int(r.integers(1, 7))
+            n_baths = int(r.integers(n_modes if kind == "spectral" else 1, 7))
+            model = random_thermal_model(r, n_modes=n_modes, n_baths=n_baths, kind=kind, ensure_ergodic=False)
+            idle = _with_idle_mode(model, r.uniform(-2.0, 2.0))
+            thermal.validate(idle)
+            for m in (model, idle):
+                _, full = dynamics.kalman_rank(m)
+                stable = np.linalg.eigvals(dynamics.drift(m).maj).real.max() < -1e-10
+                assert full == stable
+            # the unreachable subspace is exactly the added mode
+            assert dynamics.kalman_rank(idle) == (2 * n_modes, False)
+
+    def test_pbh_margin_logged(self, chain2, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fermiflux.dynamics"):
+            dynamics.kalman_rank(chain2)
+        words = caplog.records[-1].getMessage().split()
+        assert words[:2] == ["PBH", "margin"]
+        assert float(words[2]) > 1e3 * float(words[-1]) > 0
 
 
 class TestEvolve:

@@ -42,6 +42,16 @@ class TestBasisConvert:
         with pytest.raises(MalformedInputError):
             PhaseSpaceMatrix(np.eye(3), Basis.MAJORANA)
 
+    def test_conversions_computed_once(self, rng):
+        p, p_inv = ps.ca_change_matrix(3), ps.ca_change_inverse(3)
+        assert p is ps.ca_change_matrix(3) and not p.flags.writeable and not p_inv.flags.writeable
+        m = PhaseSpaceMatrix(random_matrix(rng, 6), Basis.MAJORANA)
+        assert m.to_basis(Basis.CA) is m.to_basis(Basis.CA)
+        assert np.array_equal(m.ca, p @ m.data @ p_inv)
+        theta = CouplingMatrix(random_matrix(rng, 6)[:, :2], Basis.CA)
+        assert theta.to_basis(Basis.MAJORANA) is theta.to_basis(Basis.MAJORANA)
+        assert np.array_equal(theta.maj, p_inv @ theta.data @ ps.ca_change_matrix(1))
+
 
 class TestXiTranspose:
     def test_majorana_symmetric_fixed(self, rng):
