@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from fermiflux import chain, deviations
+from fermiflux import chain, cli, deviations
 
 
 def sweep(beta0, betaL, lengths, zetas):
@@ -30,10 +30,7 @@ def write_csv(path, lengths, zetas, curves, meta):
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
-        fh.write("zeta," + ",".join(f"I_L{length}" for length in lengths) + "\n")
-        for k, z in enumerate(zetas):
-            vals = ",".join(f"{c.points[k].rate:.12e}" for c in curves)
-            fh.write(f"{z:.12e},{vals}\n")
+        fh.write(cli.rate_table(lengths, zetas, curves))
     print(f"wrote {path}")
 
 

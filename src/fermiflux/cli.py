@@ -17,7 +17,6 @@ import io
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,7 +57,6 @@ def _add_model_args(p: argparse.ArgumentParser, chain_range: bool = False):
     p.add_argument("--betaL", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-10, help="structural validation tolerance")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1, help="parallelism for independent evaluations")
 
 
 def _parse_chain_lengths(arg: str):
@@ -175,6 +173,16 @@ def cmd_e_alpha(args) -> int:
     return EXIT_OK
 
 
+def rate_table(lengths, zetas, curves) -> str:
+    """CSV table ``zeta,I_L<length>,...``: one row per zeta, one column per chain length."""
+    out = io.StringIO()
+    out.write("zeta," + ",".join(f"I_L{length}" for length in lengths) + "\n")
+    for k, z in enumerate(zetas):
+        vals = ",".join(f"{c.points[k].rate:.12e}" for c in curves)
+        out.write(f"{z:.12e},{vals}\n")
+    return out.getvalue()
+
+
 def cmd_rate(args) -> int:
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
     lengths = None
@@ -208,18 +216,9 @@ def cmd_rate(args) -> int:
         )
         return deviations.rate_function(chain.build(spec), zetas, alpha_max=args.alpha_max)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            curves = list(pool.map(one, lengths))
-    else:
-        curves = [one(length) for length in lengths]
-    out = io.StringIO()
-    out.write(_header(None, betas=f"{args.beta0},{args.betaL}", thetas=f"{args.theta0},{args.thetaL}"))
-    out.write("zeta," + ",".join(f"I_L{length}" for length in lengths) + "\n")
-    for k, z in enumerate(zetas):
-        vals = ",".join(f"{c.points[k].rate:.12e}" for c in curves)
-        out.write(f"{z:.12e},{vals}\n")
-    _emit(args, out.getvalue())
+    curves = [one(length) for length in lengths]
+    header = _header(None, betas=f"{args.beta0},{args.betaL}", thetas=f"{args.theta0},{args.thetaL}")
+    _emit(args, header + rate_table(lengths, zetas, curves))
     bad = any(not p.converged for c in curves for p in c.points)
     return EXIT_NONCONVERGED if bad else EXIT_OK
 
@@ -300,16 +299,7 @@ def cmd_mc(args) -> int:
     except NotErgodicError:
         return EXIT_NONERGODIC
     rho0 = fock.quasi_free_state(m_inf).density
-    ctx = unravel._make_context(model)
-
-    def run(k):
-        return unravel.simulate(model, rho0, args.T, args.seed + k, _context=ctx)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(run, range(args.trajectories)))
-    else:
-        records = [run(k) for k in range(args.trajectories)]
+    records = unravel.simulate_batch(model, rho0, args.T, args.trajectories, base_seed=args.seed)
     if args.jump_log:
         with open(args.jump_log, "w") as fh:
             fh.write(unravel.jump_log_csv(records))

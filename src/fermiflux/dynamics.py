@@ -74,11 +74,6 @@ def kalman_rank(model: ThermalQuasiFreeModel, rtol: float = KALMAN_RTOL) -> tupl
     return rank, rank == 2 * model.n_modes
 
 
-def noise_matrix(model: ThermalQuasiFreeModel) -> np.ndarray:
-    """sum_i Theta_i M_{B_i} Theta_i^* (Majorana basis)."""
-    return model.noise_total()
-
-
 def evolve(m0: PhaseSpaceMatrix, model: ThermalQuasiFreeModel, t: float) -> PhaseSpaceMatrix:
     """Propagate a covariance for time t >= 0.
 
@@ -91,7 +86,7 @@ def evolve(m0: PhaseSpaceMatrix, model: ThermalQuasiFreeModel, t: float) -> Phas
     if t < 0:
         raise ValueError("t must be nonnegative")
     g = drift(model).maj
-    c = noise_matrix(model)
+    c = model.noise_total()
     n = g.shape[0]
     big = np.zeros((2 * n, 2 * n), dtype=complex)
     big[:n, :n] = g
@@ -102,7 +97,7 @@ def evolve(m0: PhaseSpaceMatrix, model: ThermalQuasiFreeModel, t: float) -> Phas
     f2 = e[:n, n:]
     m = f1 @ m0.maj @ f1.conj().T + f2 @ f1.conj().T
     m = 0.5 * (m + m.conj().T)
-    return PhaseSpaceMatrix(m, Basis.MAJORANA).to_basis(m0.basis)
+    return PhaseSpaceMatrix(m, Basis.MAJORANA)
 
 
 def _lyapunov(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -125,7 +120,7 @@ def stationary_covariance(model: ThermalQuasiFreeModel, residual_tol: float = LY
         raise NotErgodicError(
             f"Kalman rank {rank} < {2 * model.n_modes}: stationary covariance is not unique"
         )
-    m, resid = _lyapunov(drift(model).maj, noise_matrix(model))
+    m, resid = _lyapunov(drift(model).maj, model.noise_total())
     if resid > residual_tol:
         raise NotErgodicError(f"Lyapunov residual {resid:.3e} exceeds {residual_tol:.1e}")
     return PhaseSpaceMatrix(m, Basis.MAJORANA)
@@ -147,7 +142,7 @@ def stationary_covariance_restricted(model: ThermalQuasiFreeModel):
     if v.shape[1] == 0:
         return PhaseSpaceMatrix(0.5 * np.eye(n), Basis.MAJORANA), False
     g = v.conj().T @ drift(model).maj @ v
-    c = v.conj().T @ noise_matrix(model) @ v
+    c = v.conj().T @ model.noise_total() @ v
     m_small, _ = _lyapunov(g, c)
     m = v @ m_small @ v.conj().T + 0.5 * (np.eye(n) - v @ v.conj().T)
     return PhaseSpaceMatrix(m, Basis.MAJORANA), False

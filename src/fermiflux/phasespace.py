@@ -8,9 +8,12 @@ carries two distinguished bases:
 * the *creation/annihilation* (CA) basis, in which gauge-invariant
   (particle-number conserving) operators are block diagonal.
 
-The Majorana basis is the canonical internal representation: structure checks
+The Majorana basis is the one stored representation: structure checks
 (generator, coupling, covariance) reduce to reality/antisymmetry statements
-there.  Conversion between the bases is the fixed block similarity
+there, and every function here returns Majorana matrices.  The CA basis is
+an input form (``basis=Basis.CA``, converted once by the constructor) and a
+read-only view (``.ca``, computed on first use).  Conversion between the
+bases is the fixed block similarity
 
     X_ca = P X_maj P^{-1},      P = [[1, i1], [1, -i1]]  (L x L blocks).
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.special import expit, logit
@@ -64,25 +67,48 @@ def ca_change_inverse(n_modes: int) -> np.ndarray:
     return _freeze(0.5 * np.block([[one, one], [-1j * one, 1j * one]]))
 
 
-def _check_even(dim: int) -> int:
+def _check_even(dim: int) -> None:
     if dim % 2 != 0 or dim <= 0:
         raise MalformedInputError(f"phase-space dimension must be even and positive, got {dim}")
-    return dim // 2
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseSpaceMatrix:
-    """Square operator on a 2L-dimensional phase space, tagged with its basis."""
+class _PhaseSpaceOperator:
+    """Operator between phase spaces, stored once in the Majorana basis.
+
+    ``basis`` names the basis the input is given in; CA input is converted
+    here, and ``.ca`` is a view computed on first use.
+    """
 
     data: np.ndarray
-    basis: Basis = Basis.MAJORANA
+    basis: InitVar[Basis] = Basis.MAJORANA
+    _square = False
 
-    def __post_init__(self):
+    def __post_init__(self, basis: Basis):
         a = _freeze(self.data)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise MalformedInputError(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or (self._square and a.shape[0] != a.shape[1]):
+            raise MalformedInputError(f"expected a {'square ' if self._square else ''}matrix, got shape {a.shape}")
         _check_even(a.shape[0])
+        _check_even(a.shape[1])
+        if basis == Basis.CA:
+            a = _freeze(ca_change_inverse(a.shape[0] // 2) @ a @ ca_change_matrix(a.shape[1] // 2))
         object.__setattr__(self, "data", a)
+
+    @property
+    def maj(self) -> np.ndarray:
+        return self.data
+
+    @functools.cached_property
+    def ca(self) -> np.ndarray:
+        rows, cols = self.data.shape
+        return _freeze(ca_change_matrix(rows // 2) @ self.data @ ca_change_inverse(cols // 2))
+
+
+@dataclass(frozen=True, eq=False)
+class PhaseSpaceMatrix(_PhaseSpaceOperator):
+    """Square operator on a 2L-dimensional phase space."""
+
+    _square = True
 
     @property
     def dim(self) -> int:
@@ -92,40 +118,10 @@ class PhaseSpaceMatrix:
     def n_modes(self) -> int:
         return self.dim // 2
 
-    def to_basis(self, target: Basis) -> "PhaseSpaceMatrix":
-        return self if target == self.basis else self._other_basis
-
-    @functools.cached_property
-    def _other_basis(self) -> "PhaseSpaceMatrix":
-        # the data is read-only, so the other-basis view is computed once and kept
-        P, Pinv = ca_change_matrix(self.n_modes), ca_change_inverse(self.n_modes)
-        if self.basis == Basis.MAJORANA:
-            return PhaseSpaceMatrix(P @ self.data @ Pinv, Basis.CA)
-        return PhaseSpaceMatrix(Pinv @ self.data @ P, Basis.MAJORANA)
-
-    @property
-    def maj(self) -> np.ndarray:
-        return self.to_basis(Basis.MAJORANA).data
-
-    @property
-    def ca(self) -> np.ndarray:
-        return self.to_basis(Basis.CA).data
-
 
 @dataclass(frozen=True, eq=False)
-class CouplingMatrix:
+class CouplingMatrix(_PhaseSpaceOperator):
     """Rectangular operator from a bath phase space (2L_B) to the system one (2L_S)."""
-
-    data: np.ndarray
-    basis: Basis = Basis.MAJORANA
-
-    def __post_init__(self):
-        a = _freeze(self.data)
-        if a.ndim != 2:
-            raise MalformedInputError(f"expected a matrix, got ndim {a.ndim}")
-        _check_even(a.shape[0])
-        _check_even(a.shape[1])
-        object.__setattr__(self, "data", a)
 
     @property
     def n_system_modes(self) -> int:
@@ -135,31 +131,13 @@ class CouplingMatrix:
     def n_bath_modes(self) -> int:
         return self.data.shape[1] // 2
 
-    def to_basis(self, target: Basis) -> "CouplingMatrix":
-        return self if target == self.basis else self._other_basis
-
-    @functools.cached_property
-    def _other_basis(self) -> "CouplingMatrix":
-        Ls, Lb = self.n_system_modes, self.n_bath_modes
-        if self.basis == Basis.MAJORANA:
-            return CouplingMatrix(ca_change_matrix(Ls) @ self.data @ ca_change_inverse(Lb), Basis.CA)
-        return CouplingMatrix(ca_change_inverse(Ls) @ self.data @ ca_change_matrix(Lb), Basis.MAJORANA)
-
-    @property
-    def maj(self) -> np.ndarray:
-        return self.to_basis(Basis.MAJORANA).data
-
-    @property
-    def ca(self) -> np.ndarray:
-        return self.to_basis(Basis.CA).data
-
 
 def xi_transpose(m: PhaseSpaceMatrix) -> PhaseSpaceMatrix:
     """The transpose xi M^dagger xi; plain transposition in the Majorana basis.
 
     In the CA basis it acts blockwise as [[A,B],[C,D]] -> [[D^t,B^t],[C^t,A^t]].
     """
-    return PhaseSpaceMatrix(m.maj.T, Basis.MAJORANA).to_basis(m.basis)
+    return PhaseSpaceMatrix(m.maj.T, Basis.MAJORANA)
 
 
 def generator_residuals(t: PhaseSpaceMatrix) -> dict:
@@ -218,7 +196,7 @@ def gibbs_covariance(kappa: PhaseSpaceMatrix, beta: float) -> PhaseSpaceMatrix:
     a = kappa.maj
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     m = (v * expit(beta * w)) @ v.conj().T
-    return PhaseSpaceMatrix(m, Basis.MAJORANA).to_basis(kappa.basis)
+    return PhaseSpaceMatrix(m, Basis.MAJORANA)
 
 
 def covariance_generator(m: PhaseSpaceMatrix, clamp: float = 1e-9) -> PhaseSpaceMatrix:
@@ -231,7 +209,7 @@ def covariance_generator(m: PhaseSpaceMatrix, clamp: float = 1e-9) -> PhaseSpace
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     w = np.clip(w, clamp, 1.0 - clamp)
     k = (v * logit(w)) @ v.conj().T
-    return PhaseSpaceMatrix(k, Basis.MAJORANA).to_basis(m.basis)
+    return PhaseSpaceMatrix(k, Basis.MAJORANA)
 
 
 def embed_gauge_invariant(small: np.ndarray, kind: str) -> PhaseSpaceMatrix:

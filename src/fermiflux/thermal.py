@@ -253,7 +253,7 @@ def decompose_fluxes(j: Sequence[float], beta: Sequence[float], tol: float = 1e-
 
 
 def _real_or_fail(a: np.ndarray, what: str) -> np.ndarray:
-    if np.max(np.abs(a.imag), initial=0.0) > 1e-12:
+    if np.max(np.abs(a.imag), initial=0.0) > ps.DEFAULT_TOL:
         raise MalformedInputError(f"{what} is not of the form i * real matrix")
     return a.real
 

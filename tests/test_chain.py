@@ -139,7 +139,7 @@ class TestFlux:
             assert full and rank == 2 * length
             cov = dynamics.stationary_covariance(model)
             g, m = dynamics.drift(model).maj, cov.maj
-            resid = np.linalg.norm(g @ m + m @ g.conj().T + dynamics.noise_matrix(model), 2)
+            resid = np.linalg.norm(g @ m + m @ g.conj().T + model.noise_total(), 2)
             assert resid <= dynamics.LYAPUNOV_TOL
             j = thermal.fluxes(model, cov)
             assert abs(j[0] - chain.closed_form(spec).flux) < 1e-10

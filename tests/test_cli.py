@@ -189,7 +189,7 @@ class TestRate:
         out = tmp_path / "sweep.csv"
         code = run_cli([
             "rate", "--chain-L", "2-4", "--zeta-min", "0.05", "--zeta-max", "0.15",
-            "--points", "5", "--jobs", "2", "--out", str(out),
+            "--points", "5", "--out", str(out),
         ])
         assert code == 0
         header, rows = read_rows(out)

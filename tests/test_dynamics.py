@@ -214,7 +214,7 @@ class TestStationary:
     def test_residual_small(self, chain2):
         m = dynamics.stationary_covariance(chain2)
         g = dynamics.drift(chain2).maj
-        resid = g @ m.maj + m.maj @ g.conj().T + dynamics.noise_matrix(chain2)
+        resid = g @ m.maj + m.maj @ g.conj().T + chain2.noise_total()
         assert np.linalg.norm(resid, 2) < 1e-10
 
     def test_matches_fock_oracle(self):

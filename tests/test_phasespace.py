@@ -1,8 +1,12 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+from fermiflux import chain
 from fermiflux import phasespace as ps
 from fermiflux.errors import MalformedInputError, ValidationError
 from fermiflux.phasespace import Basis, CouplingMatrix, PhaseSpaceMatrix
@@ -29,8 +33,8 @@ class TestBasisConvert:
 
     def test_round_trip(self, rng):
         m = PhaseSpaceMatrix(random_matrix(rng, 6), Basis.MAJORANA)
-        back = m.to_basis(Basis.CA).to_basis(Basis.MAJORANA)
-        assert np.max(np.abs(back.data - m.data)) < 1e-12
+        back = PhaseSpaceMatrix(m.ca, Basis.CA)
+        assert np.max(np.abs(back.maj - m.maj)) < 1e-12
 
     def test_spectrum_preserved(self, rng):
         m = PhaseSpaceMatrix(random_matrix(rng, 8), Basis.MAJORANA)
@@ -46,11 +50,26 @@ class TestBasisConvert:
         p, p_inv = ps.ca_change_matrix(3), ps.ca_change_inverse(3)
         assert p is ps.ca_change_matrix(3) and not p.flags.writeable and not p_inv.flags.writeable
         m = PhaseSpaceMatrix(random_matrix(rng, 6), Basis.MAJORANA)
-        assert m.to_basis(Basis.CA) is m.to_basis(Basis.CA)
+        assert m.ca is m.ca and not m.ca.flags.writeable
         assert np.array_equal(m.ca, p @ m.data @ p_inv)
-        theta = CouplingMatrix(random_matrix(rng, 6)[:, :2], Basis.CA)
-        assert theta.to_basis(Basis.MAJORANA) is theta.to_basis(Basis.MAJORANA)
-        assert np.array_equal(theta.maj, p_inv @ theta.data @ ps.ca_change_matrix(1))
+        with pytest.raises(FrozenInstanceError):
+            m.ca = np.eye(6)
+        x = random_matrix(rng, 6)[:, :2]
+        theta = CouplingMatrix(x, Basis.CA)
+        assert theta.maj is theta.data and theta.ca is theta.ca and not theta.ca.flags.writeable
+        assert np.array_equal(theta.maj, p_inv @ x @ ps.ca_change_matrix(1))
+
+    def test_ca_input_stored_as_majorana(self):
+        # a CA-built chain stores the Majorana bytes of a Majorana-built copy, and the Gibbs
+        # covariance of its kappa_S is the eigh/expit result, with no trip through CA
+        model = chain.build(chain.ChainSpec(length=5, theta0=0.7, thetaL=1.3))
+        p, p_inv, z = ps.ca_change_matrix(5), ps.ca_change_inverse(5), np.zeros((5, 5))
+        for small, ca_built in ((chain.hopping_matrix(5), model.t_s), (np.eye(5), model.kappa_s)):
+            maj_built = PhaseSpaceMatrix(p_inv @ np.block([[small, z], [z, -small]]) @ p, Basis.MAJORANA)
+            assert np.array_equal(ca_built.maj, maj_built.maj)
+        for kappa in (model.kappa_s, model.t_s):
+            w, v = np.linalg.eigh(0.5 * (kappa.maj + kappa.maj.conj().T))
+            assert np.array_equal(ps.gibbs_covariance(kappa, 0.8).maj, (v * expit(0.8 * w)) @ v.conj().T)
 
 
 class TestXiTranspose:
@@ -66,7 +85,7 @@ class TestXiTranspose:
         expected = np.block(
             [[blocks[1][1].T, blocks[0][1].T], [blocks[1][0].T, blocks[0][0].T]]
         )
-        assert np.max(np.abs(ps.xi_transpose(m).data - expected)) < 1e-12
+        assert np.max(np.abs(ps.xi_transpose(m).ca - expected)) < 1e-12
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -192,6 +192,22 @@ class TestModelIO:
             assert np.max(np.abs(b1.theta.maj - b2.theta.maj)) < 1e-15
         assert thermal.model_hash(back) == thermal.model_hash(chain2)
 
+    def test_rounding_residual_serializes(self, tmp_path):
+        # a drawn model whose -i T_S has an imaginary part at rounding level (2.5e-12 is
+        # seen on drawn spectral models): validate accepts it, so the serializer must too
+        model = make_models(31, 1, n_modes=2, n_baths=3)[0]
+        s = np.random.default_rng(5).normal(size=(4, 4))
+        t_s = ps.PhaseSpaceMatrix(model.t_s.maj + 2.5e-12 * (s + s.T) / np.abs(s + s.T).max())
+        noisy = ThermalQuasiFreeModel(t_s=t_s, kappa_s=model.kappa_s, baths=model.baths)
+        assert np.max(np.abs((-1j * noisy.t_s.maj).imag)) > 1e-12
+        thermal.validate(noisy)
+        assert len(thermal.model_hash(noisy)) == 16
+        path = tmp_path / "noisy.json"
+        thermal.save_model(noisy, path)
+        back = thermal.load_model(path)
+        thermal.validate(back)
+        assert np.max(np.abs(back.t_s.maj - model.t_s.maj)) < 1e-11
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
