@@ -68,6 +68,12 @@ def _parse_chain_lengths(arg: str):
     return [int(arg)]
 
 
+def _chain_spec(args, length: int) -> chain.ChainSpec:
+    return chain.ChainSpec(
+        length=length, theta0=args.theta0, thetaL=args.thetaL, beta0=args.beta0, betaL=args.betaL
+    )
+
+
 def _load_model(args):
     sources = sum(x is not None for x in (args.model, args.chain_l))
     if sources != 1:
@@ -79,10 +85,7 @@ def _load_model(args):
     lengths = _parse_chain_lengths(args.chain_l)
     if len(lengths) != 1:
         raise UsageError("a single chain length is required here")
-    spec = chain.ChainSpec(
-        length=lengths[0], theta0=args.theta0, thetaL=args.thetaL, beta0=args.beta0, betaL=args.betaL
-    )
-    return chain.build(spec), {"source": f"chain L={lengths[0]}"}
+    return chain.build(_chain_spec(args, lengths[0])), {"source": f"chain L={lengths[0]}"}
 
 
 class UsageError(Exception):
@@ -154,9 +157,7 @@ def _parse_alpha(text: str) -> np.ndarray:
 def cmd_e_alpha(args) -> int:
     model, _ = _load_model(args)
     thermal.validate(model, tol=args.tol)
-    _, full = dynamics.kalman_rank(model)
-    if not full:
-        return EXIT_NONERGODIC
+    dynamics.require_ergodic(model)
     out = io.StringIO()
     out.write(_header(model))
     out.write(",".join(f"alpha_{i}" for i in range(model.n_baths)) + ",e\n")
@@ -191,9 +192,7 @@ def cmd_rate(args) -> int:
     if args.model is not None or (lengths is not None and len(lengths) == 1):
         model, _ = _load_model(args)
         thermal.validate(model, tol=args.tol)
-        _, full = dynamics.kalman_rank(model)
-        if not full:
-            return EXIT_NONERGODIC
+        dynamics.require_ergodic(model)
         curve = deviations.rate_function(
             model,
             zetas,
@@ -209,14 +208,10 @@ def cmd_rate(args) -> int:
         return EXIT_NONCONVERGED if bad else EXIT_OK
     if lengths is None:
         raise UsageError("rate needs a model source")
-
-    def one(length):
-        spec = chain.ChainSpec(
-            length=length, theta0=args.theta0, thetaL=args.thetaL, beta0=args.beta0, betaL=args.betaL
-        )
-        return deviations.rate_function(chain.build(spec), zetas, alpha_max=args.alpha_max)
-
-    curves = [one(length) for length in lengths]
+    models = [chain.build(_chain_spec(args, length)) for length in lengths]
+    for model in models:
+        dynamics.require_ergodic(model)
+    curves = [deviations.rate_function(model, zetas, alpha_max=args.alpha_max) for model in models]
     header = _header(None, betas=f"{args.beta0},{args.betaL}", thetas=f"{args.theta0},{args.thetaL}")
     _emit(args, header + rate_table(lengths, zetas, curves))
     bad = any(not p.converged for c in curves for p in c.points)
@@ -263,28 +258,21 @@ def _oracle_checks(model, n_alpha, seed, tol_e=1e-8, tol_cov=1e-7):
 
 def cmd_oracle(args) -> int:
     model, _ = _load_model(args)
-    _, full = dynamics.kalman_rank(model)
-    if not full:
-        return EXIT_NONERGODIC
+    dynamics.require_ergodic(model)
     out = io.StringIO()
     out.write(_header(model, alpha_samples=args.alpha_samples, seed=args.seed))
     out.write("check,residual,tolerance,pass\n")
     all_pass = True
-    checks = _oracle_checks(model, args.alpha_samples, args.seed)
-    while True:
-        try:
-            name, resid, tol = next(checks)
-        except StopIteration:
-            break
-        except FermifluxError as exc:
-            # a structurally broken model can crash later checks: report and stop
-            log.warning("oracle check aborted: %s", exc)
-            out.write(f"aborted,inf,0.0e+00,0\n")
-            all_pass = False
-            break
-        good = resid <= tol
-        all_pass &= good
-        out.write(f"{name},{resid:.6e},{tol:.1e},{int(good)}\n")
+    try:
+        for name, resid, tol in _oracle_checks(model, args.alpha_samples, args.seed):
+            good = resid <= tol
+            all_pass &= good
+            out.write(f"{name},{resid:.6e},{tol:.1e},{int(good)}\n")
+    except FermifluxError as exc:
+        # a structurally broken model can crash later checks: report and stop
+        log.warning("oracle check aborted: %s", exc)
+        out.write("aborted,inf,0.0e+00,0\n")
+        all_pass = False
     _emit(args, out.getvalue())
     return EXIT_OK if all_pass else EXIT_ORACLE
 
@@ -294,10 +282,7 @@ def cmd_mc(args) -> int:
         raise UsageError("--trajectories must be >= 1")
     model, _ = _load_model(args)
     thermal.validate(model, tol=args.tol)
-    try:
-        m_inf = dynamics.stationary_covariance(model)
-    except NotErgodicError:
-        return EXIT_NONERGODIC
+    m_inf = dynamics.stationary_covariance(model)
     rho0 = fock.quasi_free_state(m_inf).density
     records = unravel.simulate_batch(model, rho0, args.T, args.trajectories, base_seed=args.seed)
     if args.jump_log:
@@ -353,9 +338,7 @@ def cmd_chain_sweep(args) -> int:
     out.write(_header(None, thetas=f"{args.theta0},{args.thetaL}", betas=f"{args.beta0},{args.betaL}"))
     out.write("L,J_numeric,J_closed,p0_num,pmid_num,pL_num,j_num,max_closed_form_diff\n")
     for length in lengths:
-        spec = chain.ChainSpec(
-            length=length, theta0=args.theta0, thetaL=args.thetaL, beta0=args.beta0, betaL=args.betaL
-        )
+        spec = _chain_spec(args, length)
         m = chain.small_stationary(spec)
         cf = chain.closed_form(spec)
         model = chain.build(spec)

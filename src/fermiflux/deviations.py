@@ -21,7 +21,10 @@ Everything in Z but the factors e^{+-alpha_i kappa_S} is independent of alpha,
 so it is computed once per model: A, the eigendecomposition
 kappa_S = V diag(w) V^* and the per-bath factors C+_i = V^* M_{beta_i} D_i,
 C-_i = V^* (1 - M_{beta_i}) D_i with D_i = Theta_i Theta_i^*.  Each evaluation
-then only forms B(+-alpha) = V sum_i e^{+-alpha_i w} C+-_i.
+then only forms B(+-alpha) = V sum_i e^{+-alpha_i w} C+-_i.  Z has one
+assembly, from these factors: ``z_matrix`` returns the full Majorana Z, which
+``riccati_max`` and ``riccati_residual`` read their blocks from, and
+``e_alpha`` assembles the same Z sector by sector.
 
 Gauge-invariant models (the chain, the ``uniform`` and ``tr_broken`` random
 families) split further.  When kappa_S, A, M_{beta_i} D_i and
@@ -47,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from . import dynamics
 from . import phasespace as ps
 from .errors import (
     DegenerateSpectrumError,
@@ -71,17 +73,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
-
-
-def _stack(a: np.ndarray, b_plus: np.ndarray, b_minus: np.ndarray) -> np.ndarray:
-    """[[A, B+], [B-, -A^*]], filled in place (np.block costs as much as a small eigensolve)."""
-    m = a.shape[0]
-    z = np.empty((2 * m, 2 * m), dtype=complex)
-    z[:m, :m] = a
-    z[:m, m:] = b_plus
-    z[m:, :m] = b_minus
-    z[m:, m:] = -a.conj().T
-    return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +109,14 @@ class _Sector:
         return self.v @ np.einsum("ik,ikl->kl", np.exp(np.outer(-alpha, self.w)), self.c_minus)
 
     def z(self, alpha: np.ndarray) -> np.ndarray:
-        return _stack(self.a, self.b_plus(alpha), self.b_minus(alpha))
+        """[[A, B+], [B-, -A^*]], filled in place (np.block costs as much as a small eigensolve)."""
+        m = self.a.shape[0]
+        z = np.empty((2 * m, 2 * m), dtype=complex)
+        z[:m, :m] = self.a
+        z[:m, m:] = self.b_plus(alpha)
+        z[m:, :m] = self.b_minus(alpha)
+        z[m:, m:] = -self.a.conj().T
+        return z
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,40 +181,9 @@ def _check_alpha(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     return alpha
 
 
-@dataclass(frozen=True, eq=False)
-class DeformedBlocks:
-    """The six phase-space blocks entering the deformed spectral problem."""
-
-    a: np.ndarray          # A = -iT_S + sum (M_beta - 1/2) Theta Theta^*
-    b_plus: np.ndarray     # B(alpha, beta)
-    b_minus: np.ndarray    # B(-alpha, -beta)
-    q: np.ndarray          # sum Theta Theta^* M_beta (e^{alpha kappa} - 1)
-    g: np.ndarray          # drift minus q
-    c: np.ndarray          # q - xi-transpose(q)
-
-    def identity_residuals(self) -> dict:
-        """The two block identities used in the reduction."""
-        r1 = np.max(np.abs(self.a - (self.g + self.b_plus)), initial=0.0)
-        r2 = np.max(
-            np.abs(self.c + self.b_plus + self.g + self.g.conj().T + self.b_minus), initial=0.0
-        )
-        return {"a_equals_g_plus_b": float(r1), "c_closure": float(r2)}
-
-
-def deformed_blocks(model: ThermalQuasiFreeModel, alpha) -> DeformedBlocks:
-    """Assemble all blocks in the Majorana basis."""
-    alpha = _check_alpha(model, alpha)
-    full = _factors(model).full
-    # q = sum_i D_i M_i V (e^{alpha_i w} - 1) V^*, with D_i M_i V = (C+_i)^*
-    q = np.einsum("ikl,ik,mk->lm", full.c_plus.conj(), np.expm1(np.outer(alpha, full.w)), full.v.conj())
-    g = dynamics.drift(model).maj - q
-    c = q - q.T  # xi-transpose is the plain transpose in the Majorana basis
-    return DeformedBlocks(a=full.a, b_plus=full.b_plus(alpha), b_minus=full.b_minus(alpha), q=q, g=g, c=c)
-
-
-def build_z(blocks: DeformedBlocks) -> np.ndarray:
-    """The doubled matrix whose right-half-plane spectrum carries e(alpha)."""
-    return _stack(blocks.a, blocks.b_plus, blocks.b_minus)
+def z_matrix(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
+    """The 4L x 4L Majorana Z(alpha), whose right-half-plane spectrum carries e(alpha)."""
+    return _factors(model).full.z(_check_alpha(model, alpha))
 
 
 def _split_spectrum(lam: np.ndarray, split_tol: float) -> np.ndarray:
@@ -265,8 +232,7 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TO
     X = V2 V1^{-1}.  The deformed semigroup's dominant eigenvector is the
     Gaussian state of covariance (1 + X)^{-1}.
     """
-    blocks = deformed_blocks(model, alpha)
-    z = build_z(blocks)
+    z = z_matrix(model, alpha)
     lam = np.linalg.eigvals(z)
     plus = _split_spectrum(lam, split_tol)
     n = z.shape[0] // 2
@@ -284,7 +250,7 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TO
     m = 0.5 * (m + m.conj().T)
     theta_trace = _factors(model).theta_trace
     e_spec = 0.5 * plus.sum().real - 0.25 * theta_trace
-    e_trace = 0.5 * np.trace(blocks.a + x @ blocks.b_plus).real - 0.25 * theta_trace
+    e_trace = 0.5 * np.trace(z[:n, :n] + x @ z[:n, n:]).real - 0.25 * theta_trace
     if abs(e_trace - e_spec) > 1e-7 * max(1.0, abs(e_spec)):
         raise InternalConsistencyError(
             f"trace formula {e_trace:.6e} disagrees with half-spectrum sum {e_spec:.6e}"
@@ -299,8 +265,10 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TO
 
 
 def riccati_residual(model: ThermalQuasiFreeModel, alpha, x: np.ndarray) -> float:
-    b = deformed_blocks(model, alpha)
-    r = x @ b.a + b.a.conj().T @ x + x @ b.b_plus @ x - b.b_minus
+    z = z_matrix(model, alpha)
+    n = z.shape[0] // 2
+    a, b_plus, b_minus = z[:n, :n], z[:n, n:], z[n:, :n]
+    r = x @ a + a.conj().T @ x + x @ b_plus @ x - b_minus
     return float(np.linalg.norm(r, 2))
 
 

@@ -74,6 +74,15 @@ def kalman_rank(model: ThermalQuasiFreeModel, rtol: float = KALMAN_RTOL) -> tupl
     return rank, rank == 2 * model.n_modes
 
 
+def require_ergodic(model: ThermalQuasiFreeModel) -> None:
+    """Raise NotErgodicError unless the Kalman space is the whole phase space."""
+    rank, full = kalman_rank(model)
+    if not full:
+        raise NotErgodicError(
+            f"Kalman rank {rank} < {2 * model.n_modes}: stationary covariance is not unique"
+        )
+
+
 def evolve(m0: PhaseSpaceMatrix, model: ThermalQuasiFreeModel, t: float) -> PhaseSpaceMatrix:
     """Propagate a covariance for time t >= 0.
 
@@ -115,11 +124,7 @@ def stationary_covariance(model: ThermalQuasiFreeModel, residual_tol: float = LY
     Solved by the Schur-based Bartels-Stewart method; refuses (rather than
     silently picking one of many solutions) when the Kalman rank is deficient.
     """
-    rank, full = kalman_rank(model)
-    if not full:
-        raise NotErgodicError(
-            f"Kalman rank {rank} < {2 * model.n_modes}: stationary covariance is not unique"
-        )
+    require_ergodic(model)
     m, resid = _lyapunov(drift(model).maj, model.noise_total())
     if resid > residual_tol:
         raise NotErgodicError(f"Lyapunov residual {resid:.3e} exceeds {residual_tol:.1e}")

@@ -343,17 +343,7 @@ def joint_realization(model: ThermalQuasiFreeModel):
         "k_system": q(k_s_joint),
         "k_bath": q(k_b_joint),
         "rho_bath": rho_b,
-        "bath_mode_slices": _bath_slices(model),
     }
-
-
-def _bath_slices(model: ThermalQuasiFreeModel):
-    out = []
-    offset = 0
-    for b in model.baths:
-        out.append((offset, b.n_modes))
-        offset += b.n_modes
-    return out
 
 
 def _partial_trace_bath(x: np.ndarray, dim_b: int, dim_s: int) -> np.ndarray:

@@ -109,6 +109,16 @@ class TestEAlpha:
         assert abs(float(rows[0][2]) - 0.036025584191812676) < 1e-10
         assert abs(float(rows[1][2])) < 1e-9
 
+    def test_non_ergodic_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code = run_cli([
+            "e-alpha", "--chain-L", "2", "--theta0", "0", "--thetaL", "0",
+            "--alpha", "0.3,0", "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+        assert "non-ergodic model" in capsys.readouterr().err
+
 
 def _failing_past(fn, limit):
     """``fn`` that raises InternalConsistencyError once some |alpha| entry exceeds ``limit``."""
@@ -196,6 +206,18 @@ class TestRate:
         assert header == ["zeta", "I_L2", "I_L3", "I_L4"]
         assert len(rows) == 5
 
+    def test_non_ergodic_sweep_exit_code(self, tmp_path, capsys):
+        # every length is checked before any rate point, as for a single length
+        for lengths in ("2", "2-3"):
+            out = tmp_path / f"rate{lengths}.csv"
+            code = run_cli([
+                "rate", "--chain-L", lengths, "--theta0", "0", "--thetaL", "0",
+                "--points", "3", "--out", str(out),
+            ])
+            assert code == 3
+            assert not out.exists()
+            assert "non-ergodic model" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_chain_suite_passes(self, tmp_path):
@@ -220,6 +242,16 @@ class TestOracle:
         failed = {r[0] for r in rows if r[3] == "0"}
         assert "model_structure" in failed
         assert any(name.startswith("detailed_balance") for name in failed)
+
+    def test_non_ergodic_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "oracle.csv"
+        code = run_cli([
+            "oracle", "--chain-L", "2", "--theta0", "0", "--thetaL", "0",
+            "--alpha-samples", "2", "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+        assert "non-ergodic model" in capsys.readouterr().err
 
 
 class TestMc:

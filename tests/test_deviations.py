@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fermiflux import chain, deviations, dynamics, fock, thermal
 from fermiflux.errors import UnsupportedModelError
@@ -13,39 +14,45 @@ from fermiflux.randgen import random_thermal_model
 from conftest import make_models
 
 
+def _blocks_by_definition(model, alpha):
+    """A, B(alpha) and B(-alpha at -beta) from their definitions, with scipy's expm."""
+    ks = model.kappa_s.maj
+    eye = np.eye(ks.shape[0])
+    a = -1j * model.t_s.maj
+    b_plus = np.zeros_like(a)
+    b_minus = np.zeros_like(a)
+    for i, bath in enumerate(model.baths):
+        d = model.dissipation_matrix(i)
+        m_b = np.linalg.inv(eye + sla.expm(-bath.beta * ks))
+        a = a + (m_b - 0.5 * eye) @ d
+        b_plus = b_plus + sla.expm(alpha[i] * ks) @ m_b @ d
+        b_minus = b_minus + sla.expm(-alpha[i] * ks) @ (eye - m_b) @ d
+    return a, b_plus, b_minus
+
+
 class TestBlocks:
-    def test_alpha_zero_reductions(self, chain2):
-        b = deviations.deformed_blocks(chain2, [0.0, 0.0])
-        assert np.max(np.abs(b.q)) < 1e-14
-        assert np.max(np.abs(b.c)) < 1e-14
-        assert np.max(np.abs(b.g - dynamics.drift(chain2).maj)) < 1e-12
-        expected = sum(
-            chain2.gibbs_system_covariance(chain2.baths[i].beta).maj
-            @ chain2.dissipation_matrix(i)
-            for i in range(2)
-        )
-        assert np.max(np.abs(b.b_plus - expected)) < 1e-12
-
-    def test_identities(self, chain2):
-        b = deviations.deformed_blocks(chain2, [0.3, 0.0])
-        res = b.identity_residuals()
-        assert res["a_equals_g_plus_b"] < 1e-12
-        assert res["c_closure"] < 1e-10
-
-    def test_identities_random_models(self):
+    def test_blocks_match_definitions(self, chain2):
         r = np.random.default_rng(8)
-        for model in make_models(8, 4):
-            a = r.uniform(-0.6, 0.6, model.n_baths)
-            res = deviations.deformed_blocks(model, a).identity_residuals()
-            assert max(res.values()) < 1e-10
+        models = [chain2] + make_models(8, 4)
+        for model in models:
+            for alpha in (np.zeros(model.n_baths), r.uniform(-0.6, 0.6, model.n_baths)):
+                z = deviations.z_matrix(model, alpha)
+                n = 2 * model.n_modes
+                assert z.shape == (2 * n, 2 * n)
+                a, b_plus, b_minus = _blocks_by_definition(model, alpha)
+                assert np.max(np.abs(z[:n, :n] - a)) < 1e-12
+                assert np.max(np.abs(z[:n, n:] - b_plus)) < 1e-12
+                assert np.max(np.abs(z[n:, :n] - b_minus)) < 1e-12
+                assert np.array_equal(z[n:, n:], -z[:n, :n].conj().T)
 
     def test_uniform_tilt_commutant(self):
-        # equal temperatures and alpha = lambda * (1, 1): every block is built
-        # from functions of kappa_S times Theta Theta^*, all commuting with kappa_S
+        # equal temperatures and alpha = lambda * (1, 1): both B blocks are
+        # functions of kappa_S times Theta Theta^*, commuting with kappa_S
         model = chain.build(chain.ChainSpec(length=2, beta0=0.6, betaL=0.6))
-        b = deviations.deformed_blocks(model, [0.4, 0.4])
+        z = deviations.z_matrix(model, [0.4, 0.4])
+        n = 2 * model.n_modes
         ks = model.kappa_s.maj
-        for mat in (b.b_plus, b.b_minus, b.q, b.c):
+        for mat in (z[:n, n:], z[n:, :n]):
             assert np.max(np.abs(mat @ ks - ks @ mat)) < 1e-12
 
 
@@ -54,7 +61,7 @@ class TestZMatrix:
         r = np.random.default_rng(2)
         for _ in range(5):
             a = r.uniform(-0.8, 0.8, 2)
-            z = deviations.build_z(deviations.deformed_blocks(chain2, a))
+            z = deviations.z_matrix(chain2, a)
             lam = np.linalg.eigvals(z)
             mirrored = -np.conj(lam)
             # multiset equality under lambda -> -conj(lambda)
@@ -65,7 +72,7 @@ class TestZMatrix:
         closed = thermal.ThermalQuasiFreeModel(
             t_s=chain2.t_s, kappa_s=chain2.kappa_s, baths=()
         )
-        z = deviations.build_z(deviations.deformed_blocks(closed, np.zeros(0)))
+        z = deviations.z_matrix(closed, np.zeros(0))
         n = 2 * closed.n_modes
         assert np.max(np.abs(z[:n, n:])) < 1e-14
         assert np.max(np.abs(z[n:, :n])) < 1e-14
@@ -75,7 +82,7 @@ class TestZMatrix:
         assert np.max(np.abs(lam - expected)) < 1e-10
 
     def test_chain_gap_from_axis(self, chain2):
-        z = deviations.build_z(deviations.deformed_blocks(chain2, [0.3, 0.0]))
+        z = deviations.z_matrix(chain2, [0.3, 0.0])
         lam = np.linalg.eigvals(z)
         assert np.min(np.abs(lam.real)) > 1e-8
 
@@ -257,7 +264,7 @@ class TestRateFunction:
 
 def _half_spectrum_e(model, a):
     """e(alpha) from the full 4L x 4L Majorana Z, with no sector split."""
-    lam = np.linalg.eigvals(deviations.build_z(deviations.deformed_blocks(model, a)))
+    lam = np.linalg.eigvals(deviations.z_matrix(model, a))
     tr = sum(np.trace(model.dissipation_matrix(i)).real for i in range(model.n_baths))
     return 0.5 * lam[lam.real > 0].sum().real - 0.25 * tr
 
