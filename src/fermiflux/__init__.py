@@ -13,10 +13,9 @@ Layers:
   production, partial-sum flux inequalities and pairwise flux certificates.
 * ``machines`` -- depolarizing channels, the three-qubit fridge, synthesis of
   prescribed flux vectors on qubit registers.
-* ``deviations`` -- cumulant generating function of energy exchanges via a
-  4L x 4L spectral problem / algebraic Riccati equation, split into two
-  2L x 2L particle and hole problems when the model is gauge invariant;
-  rate functions.
+* ``deviations`` -- cumulant generating function of energy exchanges via the
+  spectral problem / algebraic Riccati equation, solved once per eigenspace
+  of kappa_S; rate functions.
 * ``unravel`` -- quantum-jump Monte Carlo sampling of energy-exchange
   trajectories.
 * ``chain`` -- the two-bath nearest-neighbour fermionic chain with its

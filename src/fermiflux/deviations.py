@@ -17,22 +17,28 @@ The eigenvalues of positive real part also determine the maximal solution of
 the associated algebraic Riccati equation, whose inverse-shifted form is the
 covariance of the deformed semigroup's dominant eigenvector.
 
-Everything in Z but the factors e^{+-alpha_i kappa_S} is independent of alpha,
-so it is computed once per model: A, the eigendecomposition
-kappa_S = V diag(w) V^* and the per-bath factors C+_i = V^* M_{beta_i} D_i,
-C-_i = V^* (1 - M_{beta_i}) D_i with D_i = Theta_i Theta_i^*.  Each evaluation
-then only forms B(+-alpha) = V sum_i e^{+-alpha_i w} C+-_i.  Z has one
-assembly, from these factors: ``z_matrix`` returns the full Majorana Z, which
-``riccati_max`` and ``riccati_residual`` read their blocks from, and
-``e_alpha`` assembles the same Z sector by sector.
+Z is solved one eigenspace U_w of kappa_S at a time.  [T_S, kappa_S] = 0 and
+Theta_i kappa_i = kappa_S Theta_i make A and B block diagonal there, with
+e^{alpha_i kappa_S} = e^{alpha_i w} and M_{beta_i} = n_i(w) = expit(beta_i w)
+scalars.  Bath i reaches U_w only through its own kappa_i eigenspace V_iw at
+energy w (none when w is not in spec(kappa_i)), so with D_iw = T T^* and
+T = U_w^* Theta_i V_iw,
 
-Gauge-invariant models (the chain, the ``uniform`` and ``tr_broken`` random
-families) split further.  When kappa_S, A, M_{beta_i} D_i and
-(1 - M_{beta_i}) D_i are all block diagonal in the creation/annihilation basis,
-to SECTOR_TOL relative, Z is permutation-similar to
-diag(Z_particle, Z_hole), each 2L x 2L, and e(alpha) comes from the union of
-the two sector spectra with the same half-spectrum formula and checks.  Pairing
-models keep the single 4L x 4L problem in the Majorana basis.
+    A_w = -i U_w^* T_S U_w + sum_i (n_i(w) - 1/2) D_iw,
+    Z_w(alpha) = [[A_w, sum_i e^{alpha_i w} n_i(w) D_iw],
+                  [sum_i e^{-alpha_i w} (1 - n_i(w)) D_iw, -A_w^*]],
+
+and e(alpha) is the same half-spectrum sum over the union of the block
+spectra.  Only the scalars e^{+-alpha_i w} depend on alpha.  The support is
+imposed exactly: in floating point the couplings outside it are residues of
+about 1e-16, which the full Z multiplies by e^{|alpha| (w_max - w)}, enough
+to break the split of pairing models at moderate alpha.  The discarded
+coupling is logged at DEBUG and refused unless it is rounding.  Each block is
+solved at alpha - c, c the centre of the range of the alpha_i that reach it:
+Z_w(alpha - c) = S Z_w(alpha) S^{-1} with S = diag(e^{-cw/2}, e^{cw/2}), so
+the spectrum is the same and B+ and B- are balanced.  For the chain, kappa_S
+is the particle number and the blocks are its particle and hole sectors.
+``z_matrix`` assembles the whole Z from the blocks.
 
 Sign conventions (pinned against the Fock oracle and the jump Monte Carlo):
 grad e(0) = +J (fluxes into the baths), e(alpha - beta) = e(-alpha), and the
@@ -43,12 +49,14 @@ zeta = +J_0 and satisfies I(zeta) - I(-zeta) = -(beta_0 - beta_1) zeta.
 from __future__ import annotations
 
 import io
+import logging
 import threading
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.special import expit
 
 from . import phasespace as ps
 from .errors import (
@@ -63,10 +71,10 @@ from .thermal import ThermalQuasiFreeModel
 
 SPLIT_TOL = 1e-8
 ALPHA_MAX = 50.0
-# off-diagonal CA blocks at most this fraction of the largest entry count as zero
-SECTOR_TOL = 1e-14
 # failures of the spectral evaluation itself, reported as non-convergence
 NUMERIC_ERRORS = (DegenerateSpectrumError, NumericDegeneracyError, InternalConsistencyError)
+
+log = logging.getLogger(__name__)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -76,97 +84,72 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _Sector:
-    """The alpha-independent factors of Z on one invariant subspace.
+class _Block:
+    """The alpha-independent factors of Z on the eigenspace U of kappa_S at energy w."""
 
-    With kappa_S = V diag(w) V^* there, B(alpha) = V sum_i e^{alpha_i w} C+_i
-    and B(-alpha at -beta) = V sum_i e^{-alpha_i w} C-_i.
-    """
-
-    a: np.ndarray        # A
-    w: np.ndarray        # eigenvalues of kappa_S
-    v: np.ndarray        # its eigenvectors, as columns
-    c_plus: np.ndarray   # (n_baths, m, m): C+_i = V^* M_beta_i D_i
-    c_minus: np.ndarray  # (n_baths, m, m): C-_i = V^* (1 - M_beta_i) D_i
-
-    @classmethod
-    def restrict(cls, kappa, a, md, omd, idx) -> "_Sector":
-        """Factors of the diagonal block ``idx`` of kappa_S, A, M D and (1 - M) D."""
-        k = kappa[idx, idx]
-        w, v = np.linalg.eigh(0.5 * (k + k.conj().T))
-        vh = v.conj().T
-        m = len(w)
-
-        def factor(mats):
-            return np.array([vh @ x[idx, idx] for x in mats], dtype=complex).reshape(len(mats), m, m)
-
-        return cls(*map(_frozen, (a[idx, idx], w, v, factor(md), factor(omd))))
-
-    def b_plus(self, alpha: np.ndarray) -> np.ndarray:
-        return self.v @ np.einsum("ik,ikl->kl", np.exp(np.outer(alpha, self.w)), self.c_plus)
-
-    def b_minus(self, alpha: np.ndarray) -> np.ndarray:
-        return self.v @ np.einsum("ik,ikl->kl", np.exp(np.outer(-alpha, self.w)), self.c_minus)
+    w: float
+    trace: float         # sum_i tr D_iw
+    baths: np.ndarray    # indices i of the baths with D_iw != 0
+    u: np.ndarray        # U, orthonormal columns
+    a: np.ndarray        # A_w
+    c_plus: np.ndarray   # (n_baths, m * m): n_i(w) D_iw, flattened
+    c_minus: np.ndarray  # (n_baths, m * m): (1 - n_i(w)) D_iw, flattened
 
     def z(self, alpha: np.ndarray) -> np.ndarray:
-        """[[A, B+], [B-, -A^*]], filled in place (np.block costs as much as a small eigensolve)."""
+        """Z_w(alpha), filled in place (np.block costs as much as a small eigensolve)."""
         m = self.a.shape[0]
         z = np.empty((2 * m, 2 * m), dtype=complex)
         z[:m, :m] = self.a
-        z[:m, m:] = self.b_plus(alpha)
-        z[m:, :m] = self.b_minus(alpha)
+        z[:m, m:] = (np.exp(alpha * self.w) @ self.c_plus).reshape(m, m)
+        z[m:, :m] = (np.exp(-alpha * self.w) @ self.c_minus).reshape(m, m)
         z[m:, m:] = -self.a.conj().T
         return z
 
-
-@dataclass(frozen=True, eq=False)
-class _Factors:
-    """Per-model factors: the full Majorana problem and the sectors e(alpha) solves."""
-
-    full: _Sector
-    sectors: tuple       # (particle, hole) in the CA basis, or (full,)
-    theta_trace: float   # sum_i tr(Theta_i Theta_i^*)
+    def shift(self, alpha: np.ndarray) -> float:
+        """The shift c: centre of the range of alpha_i over the baths that reach U."""
+        a = alpha[self.baths]
+        return 0.5 * (a.max() + a.min()) if a.size else 0.0
 
 
-def _block_diagonal(x: np.ndarray, n_modes: int) -> bool:
-    off = max(np.max(np.abs(x[:n_modes, n_modes:])), np.max(np.abs(x[n_modes:, :n_modes])))
-    return off <= SECTOR_TOL * np.max(np.abs(x))
-
-
-def _build_factors(model: ThermalQuasiFreeModel) -> _Factors:
-    n_modes = model.n_modes
-    eye = np.eye(2 * n_modes)
+def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
+    """One _Block per eigenspace of kappa_S."""
     kappa = model.kappa_s.maj
-    a = -1j * model.t_s.maj
-    md, omd = [], []
-    theta_trace = 0.0
-    for i, bath in enumerate(model.baths):
-        d = model.dissipation_matrix(i)
-        m_b = model.gibbs_system_covariance(bath.beta).maj
-        a = a + (m_b - 0.5 * eye) @ d
-        md.append(m_b @ d)
-        omd.append((eye - m_b) @ d)
-        theta_trace += float(np.trace(d).real)
-    full = _Sector.restrict(kappa, a, md, omd, slice(None))
-    p, p_inv = ps.ca_change_matrix(n_modes), ps.ca_change_inverse(n_modes)
-    kappa_ca, a_ca, *rest = [p @ x @ p_inv for x in (kappa, a, *md, *omd)]
-    if all(_block_diagonal(x, n_modes) for x in (kappa_ca, a_ca, *rest)):
-        nb = model.n_baths
-        sectors = tuple(
-            _Sector.restrict(kappa_ca, a_ca, rest[:nb], rest[nb:], idx)
-            for idx in (slice(0, n_modes), slice(n_modes, 2 * n_modes))
-        )
-    else:
-        sectors = (full,)
-    return _Factors(full=full, sectors=sectors, theta_trace=theta_trace)
+    us = ps.eigenspaces(kappa)
+    ws = [float(np.trace(u.conj().T @ kappa @ u).real) / u.shape[1] for u in us]
+    tol = ps.CLUSTER_RTOL * max(1.0, max(map(abs, ws)))
+    spectra = [np.linalg.eigh(b.kappa.maj) for b in model.baths]
+    nb, blocks, worst = model.n_baths, [], 0.0
+    for w, u in zip(ws, us):
+        m = u.shape[1]
+        d = np.empty((nb, m, m), dtype=complex)
+        for i, (bath, (wb, vb)) in enumerate(zip(model.baths, spectra)):
+            t_full = u.conj().T @ bath.theta.maj
+            v = vb[:, np.abs(wb - w) <= tol]  # bath i's eigenspace at energy w
+            t = t_full @ v
+            off = np.linalg.norm(t_full - t @ v.conj().T, 2) / max(1.0, np.linalg.norm(bath.theta.maj, 2))
+            if off > ps.DEFAULT_TOL:
+                raise MalformedInputError(
+                    f"bath {i} couples {off:.3e} (relative) outside its energy support at kappa_S "
+                    f"eigenvalue {w:.6g}: Theta_i kappa_i = kappa_S Theta_i does not hold"
+                )
+            worst = max(worst, off)
+            d[i] = t @ t.conj().T
+        n = expit(model.betas * w)
+        a = -1j * u.conj().T @ model.t_s.maj @ u + np.tensordot(n - 0.5, d, axes=1)
+        trace = float(np.trace(d, axis1=1, axis2=2).real.sum())
+        d = d.reshape(nb, m * m)
+        parts = (np.flatnonzero(np.any(d, axis=1)), u, a, n[:, None] * d, (1.0 - n)[:, None] * d)
+        blocks.append(_Block(w, trace, *map(_frozen, parts)))
+    log.debug("out-of-support coupling %.3e relative to max(1, ||Theta_i||), limit %.1e", worst, ps.DEFAULT_TOL)
+    return tuple(blocks)
 
 
 # Models are immutable, so their factors are cached by identity and freed with them.
-_FACTORS: "weakref.WeakKeyDictionary[ThermalQuasiFreeModel, _Factors]" = weakref.WeakKeyDictionary()
+_FACTORS: "weakref.WeakKeyDictionary[ThermalQuasiFreeModel, tuple]" = weakref.WeakKeyDictionary()
 _FACTORS_LOCK = threading.Lock()
 
 
-def _factors(model: ThermalQuasiFreeModel) -> _Factors:
+def _factors(model: ThermalQuasiFreeModel) -> tuple:
     with _FACTORS_LOCK:
         f = _FACTORS.get(model)
         if f is None:
@@ -182,8 +165,15 @@ def _check_alpha(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
 
 
 def z_matrix(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
-    """The 4L x 4L Majorana Z(alpha), whose right-half-plane spectrum carries e(alpha)."""
-    return _factors(model).full.z(_check_alpha(model, alpha))
+    """The 4L x 4L Majorana Z(alpha), assembled from the eigenspace blocks."""
+    alpha = _check_alpha(model, alpha)
+    n = 2 * model.n_modes
+    z = np.zeros((2 * n, 2 * n), dtype=complex)
+    for b in _factors(model):
+        e = sla.block_diag(b.u, b.u)
+        z += e @ b.z(alpha) @ e.conj().T
+    z[n:, n:] = -z[:n, :n].conj().T
+    return z
 
 
 def _split_spectrum(lam: np.ndarray, split_tol: float) -> np.ndarray:
@@ -202,12 +192,12 @@ def _split_spectrum(lam: np.ndarray, split_tol: float) -> np.ndarray:
 
 
 def e_alpha(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TOL, imag_tol: float = 1e-8) -> float:
-    """Cumulant generating function by the half-spectrum sum over all sectors of Z."""
+    """Cumulant generating function by the half-spectrum sum over the blocks of Z."""
     alpha = _check_alpha(model, alpha)
-    f = _factors(model)
-    lam = np.concatenate([np.linalg.eigvals(s.z(alpha)) for s in f.sectors])
+    blocks = _factors(model)
+    lam = np.concatenate([np.linalg.eigvals(b.z(alpha - b.shift(alpha))) for b in blocks])
     plus = _split_spectrum(lam, split_tol)
-    val = 0.5 * plus.sum() - 0.25 * f.theta_trace
+    val = 0.5 * plus.sum() - 0.25 * sum(b.trace for b in blocks)
     if abs(val.imag) > imag_tol:
         raise InternalConsistencyError(f"e(alpha) has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -217,7 +207,6 @@ def e_alpha(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TOL, i
 class DeformedSpectrum:
     """Spectral data of the deformed problem, with the optional Riccati solution."""
 
-    z: np.ndarray
     eigenvalues: np.ndarray
     e_value: float
     x_max: np.ndarray | None = None
@@ -227,41 +216,44 @@ class DeformedSpectrum:
 def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TOL) -> DeformedSpectrum:
     """Maximal solution of X A + A* X + X B(alpha) X - B(-alpha,-beta) = 0.
 
-    Built from the ordered Schur form of Z(alpha): stacking a basis of the
-    invariant subspace for the right-half-plane eigenvalues as [V1; V2] gives
-    X = V2 V1^{-1}.  The deformed semigroup's dominant eigenvector is the
-    Gaussian state of covariance (1 + X)^{-1}.
+    Solved block by block from the ordered Schur form of each Z_w(alpha):
+    stacking a basis of the invariant subspace for the right-half-plane
+    eigenvalues as [V1; V2] gives X_w = V2 V1^{-1}, and X = sum_w U_w X_w U_w^*.
+    The eigenvalues are read off the Schur diagonals.  The deformed semigroup's
+    dominant eigenvector is the Gaussian state of covariance (1 + X)^{-1}.
     """
-    z = z_matrix(model, alpha)
-    lam = np.linalg.eigvals(z)
+    alpha = _check_alpha(model, alpha)
+    blocks = _factors(model)
+    n = 2 * model.n_modes
+    x = np.zeros((n, n), dtype=complex)
+    lam, trace = [], 0.0
+    for b in blocks:
+        c = b.shift(alpha)
+        z = b.z(alpha - c)
+        m = b.a.shape[0]
+        t, q, k = sla.schur(z, output="complex", sort="rhp")
+        lam.append(np.diag(t))
+        if k != m:
+            raise DegenerateSpectrumError(f"Schur sort selected {k} eigenvalues, expected {m}")
+        cond = np.linalg.cond(q[:m, :m])
+        if not np.isfinite(cond) or cond > 1e12:
+            raise NumericDegeneracyError(f"invariant-subspace stacking is singular (cond {cond:.3e})")
+        xw = q[m:, :m] @ np.linalg.inv(q[:m, :m])
+        trace += np.trace(z[:m, :m] + xw @ z[:m, m:]).real
+        x += np.exp(-c * b.w) * (b.u @ xw @ b.u.conj().T)
+    lam = np.concatenate(lam)
     plus = _split_spectrum(lam, split_tol)
-    n = z.shape[0] // 2
-    t, q, k = sla.schur(z, output="complex", sort=lambda x: x.real > 0)
-    if k != n:
-        raise DegenerateSpectrumError(f"Schur sort selected {k} eigenvalues, expected {n}")
-    v1 = q[:n, :n]
-    v2 = q[n:, :n]
-    cond = np.linalg.cond(v1)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericDegeneracyError(f"invariant-subspace stacking is singular (cond {cond:.3e})")
-    x = v2 @ np.linalg.inv(v1)
     x = 0.5 * (x + x.conj().T)
-    m = np.linalg.inv(np.eye(n) + x)
-    m = 0.5 * (m + m.conj().T)
-    theta_trace = _factors(model).theta_trace
+    cov = np.linalg.inv(np.eye(n) + x)
+    cov = 0.5 * (cov + cov.conj().T)
+    theta_trace = sum(b.trace for b in blocks)
     e_spec = 0.5 * plus.sum().real - 0.25 * theta_trace
-    e_trace = 0.5 * np.trace(z[:n, :n] + x @ z[:n, n:]).real - 0.25 * theta_trace
+    e_trace = 0.5 * trace - 0.25 * theta_trace
     if abs(e_trace - e_spec) > 1e-7 * max(1.0, abs(e_spec)):
         raise InternalConsistencyError(
             f"trace formula {e_trace:.6e} disagrees with half-spectrum sum {e_spec:.6e}"
         )
-    return DeformedSpectrum(
-        z=z,
-        eigenvalues=lam,
-        e_value=float(e_spec),
-        x_max=x,
-        covariance=PhaseSpaceMatrix(m, Basis.MAJORANA),
-    )
+    return DeformedSpectrum(lam, float(e_spec), x_max=x, covariance=PhaseSpaceMatrix(cov, Basis.MAJORANA))
 
 
 def riccati_residual(model: ThermalQuasiFreeModel, alpha, x: np.ndarray) -> float:

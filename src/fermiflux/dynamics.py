@@ -27,13 +27,12 @@ import logging
 import numpy as np
 import scipy.linalg as sla
 
+from . import phasespace as ps
 from .errors import NotErgodicError
 from .phasespace import Basis, PhaseSpaceMatrix
 from .thermal import ThermalQuasiFreeModel
 
 LYAPUNOV_TOL = 1e-10
-# eigenvalues of T_S closer than this, relative to max(1, ||T_S||), form one eigenspace
-CLUSTER_RTOL = 1e-8
 # singular values of Theta^* U_k at most this times ||Theta|| are unreachable directions
 KALMAN_RTOL = 1e-9
 
@@ -55,12 +54,9 @@ def _reachable_basis(model: ThermalQuasiFreeModel, rtol: float) -> np.ndarray:
     it, mapped back through U_k, are reachable.
     """
     theta = model.theta_total()
-    t = model.t_s.maj
-    w, u = np.linalg.eigh(0.5 * (t + t.conj().T))
-    gap = CLUSTER_RTOL * max(1.0, float(np.abs(w).max()))
     threshold = rtol * (np.linalg.norm(theta, 2) if theta.size else 0.0)
     reach, margin = [], np.inf
-    for uk in np.split(u, np.flatnonzero(np.diff(w) > gap) + 1, axis=1):
+    for uk in ps.eigenspaces(model.t_s.maj):
         _, s, vh = np.linalg.svd(theta.conj().T @ uk)
         reach.append(uk @ vh[: int(np.sum(s > threshold))].conj().T)
         margin = min(margin, s.min() if s.size == uk.shape[1] else 0.0)

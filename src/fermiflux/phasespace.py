@@ -40,6 +40,8 @@ from scipy.special import expit, logit
 from .errors import MalformedInputError, ValidationError
 
 DEFAULT_TOL = 1e-10
+# eigenvalues closer than this, relative to max(1, ||H||), form one eigenspace
+CLUSTER_RTOL = 1e-8
 
 
 class Basis(enum.Enum):
@@ -184,6 +186,16 @@ def validate_coupling(theta: CouplingMatrix, tol: float = DEFAULT_TOL, label: st
 
 def validate_covariance(m: PhaseSpaceMatrix, tol: float = DEFAULT_TOL, label: str = "covariance") -> None:
     _require(covariance_residuals(m), tol, label)
+
+
+def eigenspaces(h: np.ndarray) -> list:
+    """Orthonormal bases of the eigenspaces of the self-adjoint h, by increasing eigenvalue.
+
+    Sorted eigenvalues that follow their neighbour by at most
+    CLUSTER_RTOL * max(1, ||h||) share an eigenspace.
+    """
+    w, u = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return np.split(u, np.flatnonzero(np.diff(w) > CLUSTER_RTOL * max(1.0, float(np.abs(w).max()))) + 1, axis=1)
 
 
 def gibbs_covariance(kappa: PhaseSpaceMatrix, beta: float) -> PhaseSpaceMatrix:

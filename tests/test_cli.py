@@ -6,6 +6,7 @@ import numpy as np
 
 from fermiflux import chain, cli, deviations, thermal
 from fermiflux.errors import InternalConsistencyError
+from fermiflux.randgen import random_thermal_model
 
 
 def run_cli(args):
@@ -108,6 +109,17 @@ class TestEAlpha:
         _, rows = read_rows(out)
         assert abs(float(rows[0][2]) - 0.036025584191812676) < 1e-10
         assert abs(float(rows[1][2])) < 1e-9
+
+    def test_pairing_model_at_large_alpha(self, tmp_path):
+        # each bath sits at its own kappa_S eigenvalue, so e is identically 0
+        model = random_thermal_model(np.random.default_rng(0), n_modes=2, n_baths=2, kind="spectral")
+        path = tmp_path / "model.json"
+        thermal.save_model(model, path)
+        out = tmp_path / "e.csv"
+        assert run_cli(["e-alpha", "--model", str(path), "--alpha=10,0", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 1
+        assert abs(float(rows[0][2])) < 1e-12
 
     def test_non_ergodic_exit_code(self, tmp_path, capsys):
         out = tmp_path / "e.csv"

@@ -1,4 +1,5 @@
 import gc
+import logging
 import sys
 import threading
 import weakref
@@ -8,7 +9,8 @@ import pytest
 import scipy.linalg as sla
 
 from fermiflux import chain, deviations, dynamics, fock, thermal
-from fermiflux.errors import UnsupportedModelError
+from fermiflux.errors import MalformedInputError, UnsupportedModelError
+from fermiflux.phasespace import Basis, CouplingMatrix
 from fermiflux.randgen import random_thermal_model
 
 from conftest import make_models
@@ -263,8 +265,9 @@ class TestRateFunction:
 
 
 def _half_spectrum_e(model, a):
-    """e(alpha) from the full 4L x 4L Majorana Z, with no sector split."""
-    lam = np.linalg.eigvals(deviations.z_matrix(model, a))
+    """e(alpha) from the 4L x 4L Majorana Z built from its definitions, with no block split."""
+    a_, b_plus, b_minus = _blocks_by_definition(model, a)
+    lam = np.linalg.eigvals(np.block([[a_, b_plus], [b_minus, -a_.conj().T]]))
     tr = sum(np.trace(model.dissipation_matrix(i)).real for i in range(model.n_baths))
     return 0.5 * lam[lam.real > 0].sum().real - 0.25 * tr
 
@@ -301,6 +304,28 @@ def _mp_e_alpha(model, alpha, dps=60):
         return float(mp.re(sum(x for x in lam if mp.re(x) > 0) / 2 - tr / 4))
 
 
+def _mp_blocks_e(model, alpha, dps=60):
+    """e(alpha) from the float64 eigenspace blocks of ``model``, exponentiated and diagonalised in mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        total = 0
+        for b in deviations._factors(model):
+            m = b.a.shape[0]
+            grow = [mp.exp(mp.mpf(float(x)) * mp.mpf(b.w)) for x in alpha]
+            z = mp.zeros(2 * m)
+            for r in range(m):
+                for c in range(m):
+                    k = r * m + c
+                    z[r, c] = mp.mpc(b.a[r, c])
+                    z[m + r, m + c] = -mp.conj(mp.mpc(b.a[c, r]))
+                    z[r, m + c] = sum(g * mp.mpc(x) for g, x in zip(grow, b.c_plus[:, k]))
+                    z[m + r, c] = sum(mp.mpc(x) / g for g, x in zip(grow, b.c_minus[:, k]))
+            lam = mp.eig(z, left=False, right=False)
+            total += sum(x for x in lam if mp.re(x) > 0) / 2 - mp.mpf(b.trace) / 4
+        return float(mp.re(total))
+
+
 class TestSectorSplit:
     def _gauge_invariant_models(self):
         models = [chain.build(chain.ChainSpec(length=n)) for n in range(1, 7)]
@@ -312,20 +337,28 @@ class TestSectorSplit:
     def test_sectors_match_full_problem(self):
         r = np.random.default_rng(18)
         for model in self._gauge_invariant_models():
-            sectors = deviations._factors(model).sectors
-            assert [s.a.shape[0] for s in sectors] == [model.n_modes] * 2
+            blocks = deviations._factors(model)
+            assert [b.a.shape[0] for b in blocks] == [model.n_modes] * 2
             for _ in range(6):
                 a = r.uniform(-3.0, 3.0, model.n_baths)
                 ref = _half_spectrum_e(model, a)
                 assert abs(deviations.e_alpha(model, a) - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_pairing_models_take_full_path(self):
+    def test_pairing_models_split_per_energy(self):
+        # one block per kappa_S eigenvalue; a bath enters only the blocks at its own energies
         r = np.random.default_rng(19)
         for n in (2, 3, 4):
             model = random_thermal_model(r, n_modes=n, n_baths=n, kind="spectral")
-            sectors = deviations._factors(model).sectors
-            assert len(sectors) == 1
-            assert sectors[0].a.shape == (2 * n, 2 * n)
+            blocks = deviations._factors(model)
+            assert [b.a.shape for b in blocks] == [(1, 1)] * (2 * n)
+            ws = np.array([b.w for b in blocks])
+            assert np.max(np.abs(ws - np.linalg.eigvalsh(model.kappa_s.maj))) < 1e-12
+            for i, bath in enumerate(model.baths):
+                wb = np.linalg.eigvalsh(bath.kappa.maj)
+                for b in blocks:
+                    coupled = np.min(np.abs(wb - b.w)) < 1e-9
+                    assert np.any(b.c_plus[i]) == coupled
+                    assert np.any(b.c_minus[i]) == coupled
 
     def test_rate_tails_converge_against_fock(self, chain2):
         # the expanding bracket walks out to |alpha| ~ 20 on these tails
@@ -341,6 +374,81 @@ class TestSectorSplit:
         # the same Z at 60 digits
         ref = _mp_e_alpha(chain2, [a, 0.0])
         assert abs(deviations.e_two_bath(chain2, a) - ref) <= 1e-12 * abs(ref)
+
+
+    @pytest.mark.parametrize("a", [50.0, -50.0])
+    def test_long_chain_large_alpha_against_mpmath(self, a):
+        # both baths tilted: each block is solved at the centre of its alphas
+        model = chain.build(chain.ChainSpec(length=10))
+        ref = _mp_blocks_e(model, [a, 0.7])
+        assert abs(deviations.e_alpha(model, [a, 0.7]) - ref) <= 1e-12 * abs(ref)
+
+
+class TestPairingModels:
+    def test_no_exchange_between_energies(self):
+        # each bath attaches to its own kappa_S eigenvalue, so e is identically 0
+        for seed in range(60):
+            model = random_thermal_model(np.random.default_rng(seed), n_modes=2, n_baths=2, kind="spectral")
+            for a in (2.0, 4.0, 6.0, 8.0, 10.0):
+                for sign in (1.0, -1.0):
+                    assert abs(deviations.e_alpha(model, [sign * a, 0.0])) <= 1e-12
+
+    def test_shared_energy_against_mpmath(self):
+        # baths 0 and 2 share a kappa_S eigenvalue and exchange energy through it
+        for seed in range(10):
+            model = random_thermal_model(np.random.default_rng(seed), n_modes=2, n_baths=3, kind="spectral")
+            for a in (3.0, 10.0, 20.0, 30.0, 50.0):
+                for alpha in ([a, 0.0, 0.0], [-a, 0.0, 0.0]):
+                    ref = _mp_blocks_e(model, alpha)
+                    assert abs(deviations.e_alpha(model, alpha) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_symmetry_identities(self):
+        r = np.random.default_rng(23)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                model = random_thermal_model(r, n_modes=n, n_baths=n + 1, kind="spectral")
+                for _ in range(4):
+                    a = r.uniform(-3.0, 3.0, model.n_baths)
+                    c = r.uniform(-3.0, 3.0)
+                    e = deviations.e_alpha(model, a)
+                    tol = 1e-12 * max(1.0, abs(e))
+                    assert abs(deviations.e_alpha(model, a + c) - e) <= tol
+                    # the unbalanced Schur form's diagonal carries a little more rounding
+                    assert abs(deviations.riccati_max(model, a + c).e_value - e) <= 1e2 * tol
+                    # both shift alpha to the centre of its range; this solve takes a + c as given
+                    assert abs(_mp_blocks_e(model, a + c) - e) <= tol
+                    assert abs(deviations.e_alpha(model, -a - model.betas) - e) <= tol
+
+    def test_matches_fock_at_small_alpha(self):
+        # Fock carries the full-Z rounding residues, so it is a reference only at |alpha_i| <= 1
+        r = np.random.default_rng(29)
+        for n in (2, 3):
+            model = random_thermal_model(r, n_modes=n, n_baths=n + 1, kind="spectral")
+            for _ in range(3):
+                a = r.uniform(-1.0, 1.0, model.n_baths)
+                lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, a))
+                assert abs(deviations.e_alpha(model, a) - lam.real) < 1e-8
+
+
+class TestOutOfSupport:
+    def test_off_intertwining_coupling_refused(self, chain2):
+        w = np.random.default_rng(31).normal(size=chain2.baths[0].theta.maj.shape)
+        bath = thermal.BathSpec(
+            beta=chain2.baths[0].beta,
+            kappa=chain2.baths[0].kappa,
+            theta=CouplingMatrix(chain2.baths[0].theta.maj + 1e-8j * w, Basis.MAJORANA),
+        )
+        model = thermal.ThermalQuasiFreeModel(t_s=chain2.t_s, kappa_s=chain2.kappa_s, baths=(bath, chain2.baths[1]))
+        with pytest.raises(MalformedInputError, match="outside its energy support"):
+            deviations.e_alpha(model, [0.1, 0.0])
+
+    def test_discarded_coupling_logged(self, caplog):
+        model = chain.build(chain.ChainSpec(length=3))
+        with caplog.at_level(logging.DEBUG, logger="fermiflux.deviations"):
+            deviations.e_two_bath(model, 0.2)
+        words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.deviations"][-1].split()
+        assert words[:2] == ["out-of-support", "coupling"]
+        assert float(words[2]) < 1e-3 * float(words[-1])
 
 
 class TestFactorCache:
