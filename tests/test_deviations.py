@@ -375,7 +375,6 @@ class TestSectorSplit:
         ref = _mp_e_alpha(chain2, [a, 0.0])
         assert abs(deviations.e_two_bath(chain2, a) - ref) <= 1e-12 * abs(ref)
 
-
     @pytest.mark.parametrize("a", [50.0, -50.0])
     def test_long_chain_large_alpha_against_mpmath(self, a):
         # both baths tilted: each block is solved at the centre of its alphas
@@ -415,7 +414,7 @@ class TestPairingModels:
                     assert abs(deviations.e_alpha(model, a + c) - e) <= tol
                     # the unbalanced Schur form's diagonal carries a little more rounding
                     assert abs(deviations.riccati_max(model, a + c).e_value - e) <= 1e2 * tol
-                    # both shift alpha to the centre of its range; this solve takes a + c as given
+                    # both solvers shift each block's alphas to their centre; this solve takes a + c as given
                     assert abs(_mp_blocks_e(model, a + c) - e) <= tol
                     assert abs(deviations.e_alpha(model, -a - model.betas) - e) <= tol
 
@@ -438,7 +437,7 @@ class TestOutOfSupport:
             kappa=chain2.baths[0].kappa,
             theta=CouplingMatrix(chain2.baths[0].theta.maj + 1e-8j * w, Basis.MAJORANA),
         )
-        model = thermal.ThermalQuasiFreeModel(t_s=chain2.t_s, kappa_s=chain2.kappa_s, baths=(bath, chain2.baths[1]))
+        model = thermal.ThermalQuasiFreeModel(chain2.t_s, chain2.kappa_s, baths=(bath, chain2.baths[1]))
         with pytest.raises(MalformedInputError, match="outside its energy support"):
             deviations.e_alpha(model, [0.1, 0.0])
 
