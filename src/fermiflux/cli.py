@@ -60,18 +60,26 @@ def _add_model_args(p: argparse.ArgumentParser, chain_range: bool = False):
 
 
 def _parse_chain_lengths(arg: str):
-    if "-" in arg.strip().lstrip("-"):
-        lo, hi = arg.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    if "," in arg:
-        return [int(x) for x in arg.split(",")]
-    return [int(arg)]
+    try:
+        if "-" in arg.strip().lstrip("-"):
+            lo, hi = arg.split("-")
+            lengths = list(range(int(lo), int(hi) + 1))
+        else:
+            lengths = [int(x) for x in arg.split(",")]
+    except ValueError:
+        raise UsageError(f"--chain-L expects N, N-M or N,M,...; got {arg!r}") from None
+    if not lengths:
+        raise UsageError(f"--chain-L range {arg!r} is empty")
+    return lengths
 
 
 def _chain_spec(args, length: int) -> chain.ChainSpec:
-    return chain.ChainSpec(
-        length=length, theta0=args.theta0, thetaL=args.thetaL, beta0=args.beta0, betaL=args.betaL
-    )
+    try:
+        return chain.ChainSpec(
+            length=length, theta0=args.theta0, thetaL=args.thetaL, beta0=args.beta0, betaL=args.betaL
+        )
+    except ValueError as exc:
+        raise UsageError(f"--chain-L: {exc}") from None
 
 
 def _load_model(args):
@@ -151,7 +159,10 @@ def cmd_flux(args) -> int:
 
 
 def _parse_alpha(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")])
+    try:
+        return np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        raise UsageError(f"expected a comma list of numbers, got {text!r}") from None
 
 
 def cmd_e_alpha(args) -> int:
@@ -304,6 +315,8 @@ def cmd_machine(args) -> int:
     out = io.StringIO()
     out.write(_header(None, seed=args.seed))
     if args.synthesize:
+        if args.beta is None:
+            raise UsageError("--synthesize needs --beta")
         target = _parse_alpha(args.synthesize)
         betas = _parse_alpha(args.beta)
         machine = machines.synthesize(target, betas)
@@ -431,7 +444,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        log.error("usage: %s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MalformedInputError, ValidationError, InfeasibleError) as exc:

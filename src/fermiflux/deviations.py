@@ -20,9 +20,9 @@ covariance of the deformed semigroup's dominant eigenvector.
 Z is solved one eigenspace U_w of kappa_S at a time.  [T_S, kappa_S] = 0 and
 Theta_i kappa_i = kappa_S Theta_i make A and B block diagonal there, with
 e^{alpha_i kappa_S} = e^{alpha_i w} and M_{beta_i} = n_i(w) = expit(beta_i w)
-scalars.  Bath i reaches U_w only through its own kappa_i eigenspace V_iw at
-energy w (none when w is not in spec(kappa_i)), so with D_iw = T T^* and
-T = U_w^* Theta_i V_iw,
+scalars.  Bath i reaches U_w only through its own kappa_i eigenmodes V_iw at
+energy w (none when w is not in spec(kappa_i); ``bath_modes`` gives them), so
+with D_iw = T T^* and T = U_w^* Theta_i V_iw,
 
     A_w = -i U_w^* T_S U_w + sum_i (n_i(w) - 1/2) D_iw,
     Z_w(alpha) = [[A_w, sum_i e^{alpha_i w} n_i(w) D_iw],
@@ -117,16 +117,16 @@ def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
     us = ps.eigenspaces(kappa)
     ws = [float(np.trace(u.conj().T @ kappa @ u).real) / u.shape[1] for u in us]
     tol = ps.CLUSTER_RTOL * max(1.0, max(map(abs, ws)))
-    spectra = [np.linalg.eigh(b.kappa.maj) for b in model.baths]
+    modes = [model.bath_modes(i) for i in range(model.n_baths)]
+    scales = [max(1.0, np.linalg.norm(tb, 2)) for _, _, tb in modes]
     nb, blocks, worst = model.n_baths, [], 0.0
     for w, u in zip(ws, us):
         m = u.shape[1]
         d = np.empty((nb, m, m), dtype=complex)
-        for i, (bath, (wb, vb)) in enumerate(zip(model.baths, spectra)):
-            t_full = u.conj().T @ bath.theta.maj
-            v = vb[:, np.abs(wb - w) <= tol]  # bath i's eigenspace at energy w
-            t = t_full @ v
-            off = np.linalg.norm(t_full - t @ v.conj().T, 2) / max(1.0, np.linalg.norm(bath.theta.maj, 2))
+        for i, ((wb, _, tb), scale) in enumerate(zip(modes, scales)):
+            at = np.abs(wb - w) <= tol  # bath i's eigenmodes at energy w
+            t = u.conj().T @ tb[:, at]
+            off = np.linalg.norm(u.conj().T @ tb[:, ~at], 2) / scale
             if off > ps.DEFAULT_TOL:
                 raise MalformedInputError(
                     f"bath {i} couples {off:.3e} (relative) outside its energy support at kappa_S "

@@ -27,7 +27,7 @@ import scipy.linalg as sla
 
 from . import superop as so
 from .errors import MalformedInputError, ResourceLimitError
-from .phasespace import Basis, PhaseSpaceMatrix
+from .phasespace import Basis, PhaseSpaceMatrix, gibbs_covariance
 from .thermal import ThermalQuasiFreeModel
 
 L_MAX = 6
@@ -233,21 +233,19 @@ def build_lindbladian(model: ThermalQuasiFreeModel) -> np.ndarray:
 
 
 def deformed_kernel(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
-    """Majorana matrix of sum_i Theta_i Theta_i^* M_{beta_i} (e^{alpha_i kappa_S} - 1).
+    """Majorana matrix of sum_i Theta_i (e^{alpha_i kappa_i} - 1) M_{B_i} Theta_i^*.
 
-    This is the counting-field tilt of the jump part: weighting every quantum
-    delta of energy into bath i by exp(alpha_i delta) shifts the Heisenberg
-    jump map by the kernel returned here.
+    This is the counting-field tilt of the jump part: every quantum w of bath
+    i's energy is weighted by exp(alpha_i w), which shifts the Heisenberg jump
+    map by the kernel returned here.  The tilt is applied to the bath
+    quantum: ``jump_kernel(i, alpha_i) - jump_kernel(i)``.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (model.n_baths,):
         raise MalformedInputError("alpha must have one entry per bath")
-    ks = model.kappa_s.maj
-    w, v = np.linalg.eigh(0.5 * (ks + ks.conj().T))
-    out = np.zeros_like(ks)
-    for i in range(model.n_baths):
-        tilt = (v * (np.exp(alpha[i] * w) - 1.0)) @ v.conj().T
-        out += model.dissipation_matrix(i) @ model.gibbs_system_covariance(model.baths[i].beta).maj @ tilt
+    out = np.zeros((2 * model.n_modes, 2 * model.n_modes), dtype=complex)
+    for i, a in enumerate(alpha):
+        out += model.jump_kernel(i, a) - model.jump_kernel(i)
     return out
 
 
@@ -329,7 +327,7 @@ def joint_realization(model: ThermalQuasiFreeModel):
         t_cpl[np.ix_(sys_idx, bath_idx)] = th
         t_cpl[np.ix_(bath_idx, sys_idx)] = th.conj().T
         k_b_joint += _embed_square(b.kappa.maj, offset, n_total)
-        rho_b = np.kron(rho_b, quasi_free_state(model.bath_covariance(i), b.n_modes).density)
+        rho_b = np.kron(rho_b, quasi_free_state(gibbs_covariance(b.kappa, b.beta), b.n_modes).density)
         offset += b.n_modes
 
     def q(mat):
@@ -382,10 +380,12 @@ def discrete_step(model: ThermalQuasiFreeModel, tau: float) -> np.ndarray:
 
 
 def detailed_balance_residual(phi_h: np.ndarray, sigma: np.ndarray) -> float:
-    """max_A || Phi^*(A sigma) sigma^{-1} - Phi(A) || over a matrix-unit basis.
+    """max_A || Phi^*(A sigma) - Phi(A) sigma ||_2 over a matrix-unit basis.
 
     ``phi_h`` is the Heisenberg-picture superoperator of the completely
-    positive part; sigma must be a faithful state.
+    positive part; sigma must be a faithful state.  This is the condition
+    Phi^*(A sigma) sigma^{-1} = Phi(A) multiplied on the right by sigma, so
+    no inverse of sigma, and none of its condition number, enters.
     """
     sigma = np.asarray(sigma, dtype=complex)
     w = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
@@ -393,14 +393,13 @@ def detailed_balance_residual(phi_h: np.ndarray, sigma: np.ndarray) -> float:
         raise MalformedInputError("detailed balance requires a faithful (positive) sigma")
     dim = sigma.shape[0]
     phi_s = so.adjoint_super(phi_h)
-    sigma_inv = np.linalg.inv(sigma)
     worst = 0.0
     unit = np.zeros((dim, dim), dtype=complex)
     for a in range(dim):
         for b in range(dim):
             unit[a, b] = 1.0
-            lhs = so.unvec(phi_s @ so.vec(unit @ sigma)) @ sigma_inv
-            rhs = so.unvec(phi_h @ so.vec(unit))
+            lhs = so.unvec(phi_s @ so.vec(unit @ sigma))
+            rhs = so.unvec(phi_h @ so.vec(unit)) @ sigma
             worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
             unit[a, b] = 0.0
     return worst

@@ -8,11 +8,17 @@ Theta_i.  Conservation of the total pseudo-energy is equivalent to
     [T_S, kappa_S] = 0     and     Theta_i kappa_i = kappa_S Theta_i,
 
 and those two intertwining relations are what :func:`validate` checks, on top
-of the structural (xi) invariants of every ingredient.
+of the structural (xi) invariants of every ingredient.  The second one gives
+Theta_i f(kappa_i) = f(kappa_S) Theta_i for every function f, so each
+bath-side quantity has a system-side twin.  Everything here is computed on
+the bath side, from the eigenmodes of kappa_i (:meth:`ThermalQuasiFreeModel.bath_modes`):
+the jump kernel, its counting-field tilt and the fluxes.
 
 Flux conventions: J_i is the mean energy flow *into* bath i per unit time, so
 at stationarity sum_i J_i = 0 and the entropy production sum_i beta_i J_i is
-nonnegative.
+nonnegative.  The paper writes J_i = (1/2) Tr(kappa_S D_i(M_{beta_i} - M)) on
+the system side; :func:`fluxes` sums the quanta w_c carried into each bath
+eigenmode c, J_i = sum_c w_c n_c t_c^* M^T t_c, which is the same number.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from . import phasespace as ps
 from .errors import InfeasibleError, InternalConsistencyError, MalformedInputError, ValidationError
@@ -97,23 +104,29 @@ class ThermalQuasiFreeModel:
             return np.zeros((2 * self.n_modes, 0), dtype=complex)
         return np.hstack([b.theta.maj for b in self.baths])
 
-    def bath_covariance(self, i: int) -> PhaseSpaceMatrix:
-        """Covariance of bath i in its own phase space."""
-        b = self.baths[i]
-        return ps.gibbs_covariance(b.kappa, b.beta)
-
     def gibbs_system_covariance(self, beta: float) -> PhaseSpaceMatrix:
         """System Gibbs covariance M_beta = (1 + exp(-beta kappa_S))^{-1}."""
         return ps.gibbs_covariance(self.kappa_s, beta)
 
-    def jump_kernel(self, i: int) -> np.ndarray:
-        """Majorana matrix of Theta_i M_{B_i} Theta_i^*, the bath-i noise kernel.
+    def bath_modes(self, i: int):
+        """Eigenmodes of bath i: energies w, occupations n and couplings t.
 
-        By the intertwining relation this equals Theta_i Theta_i^* M_{beta_i}.
+        w are the eigenvalues of kappa_i (ascending, from ``eigh``),
+        n = expit(beta_i w) their Gibbs occupations and t = Theta_i V the
+        coupling of each eigenvector (column) to the system.  Computed on each
+        call: the model stores no per-bath matrices.
         """
         b = self.baths[i]
-        th = b.theta.maj
-        return th @ self.bath_covariance(i).maj @ th.conj().T
+        w, v = np.linalg.eigh(b.kappa.maj)
+        return w, expit(b.beta * w), b.theta.maj @ v
+
+    def jump_kernel(self, i: int, alpha: float = 0.0) -> np.ndarray:
+        """Majorana matrix of Theta_i e^{alpha kappa_i} M_{B_i} Theta_i^*, the bath-i noise kernel.
+
+        At alpha = 0 this is the jump kernel; alpha tilts each bath quantum w by e^{alpha w}.
+        """
+        w, n, t = self.bath_modes(i)
+        return (t * (n * np.exp(alpha * w))) @ t.conj().T
 
     def dissipation_matrix(self, i: int) -> np.ndarray:
         """Majorana matrix of Theta_i Theta_i^*."""
@@ -156,15 +169,20 @@ def validate(model: ThermalQuasiFreeModel, tol: float = ps.DEFAULT_TOL) -> dict:
 def fluxes(model: ThermalQuasiFreeModel, m: PhaseSpaceMatrix, imag_tol: float = 1e-10) -> np.ndarray:
     """Mean energy flux into each bath for the state of covariance m.
 
-    J_i = (1/2) Tr(kappa_S D_i(M_{beta_i} - M)) with D_i(A) = (1/2){Theta_i Theta_i^*, A}.
+    The paper's form is J_i = (1/2) Tr(kappa_S D_i(M_{beta_i} - M)) with
+    D_i(A) = (1/2){Theta_i Theta_i^*, A}.  Computed on the bath side, as the
+    energy the jumps carry into bath i:
+
+        J_i = sum_c w_c n_c t_c^* M^T t_c      (bath_modes: w, n, t),
+
+    the rate n_c t_c^* M^T t_c of quanta w_c into eigenmode c.  The two agree
+    by Theta_i f(kappa_i) = f(kappa_S) Theta_i and M^T = 1 - M.
     """
-    ks = model.kappa_s.maj
-    mm = m.maj
+    mt = m.maj.T
     out = np.empty(model.n_baths)
     for i in range(model.n_baths):
-        d = model.dissipation_matrix(i)
-        delta = model.gibbs_system_covariance(model.baths[i].beta).maj - mm
-        j = 0.25 * np.trace(ks @ (d @ delta + delta @ d))
+        w, n, t = model.bath_modes(i)
+        j = (w * n) @ np.sum(t.conj() * (mt @ t), axis=0)
         if abs(j.imag) > imag_tol:
             raise InternalConsistencyError(f"flux J_{i} has imaginary part {j.imag:.3e}")
         out[i] = j.real

@@ -6,10 +6,12 @@ G = -i H_S - (1/2) Phi(1), the next jump time solves survival(t) = u for a
 uniform u through safeguarded bisection, and the jump channel (bath i, energy
 quantum delta) is drawn proportionally to tr(Phi_{i,delta}^*(h)).
 
-Channels are extracted from the explicit single-mode bath realization by
-sandwiching one interaction between bath-energy eigenprojectors; an
-independent route (polynomial interpolation of the counting-field-deformed
-jump map in e^{alpha delta}) is used to cross-check them.
+The channel of bath i and quantum delta = w_c is the piece of the jump map
+carried by one eigenmode c of kappa_i (``ThermalQuasiFreeModel.bath_modes``):
+the Heisenberg map with kernel n_c t_c t_c^*, whose Kraus operator lowers
+K_S by w_c.  The reference route, run by the cross-check, builds the explicit
+system + bath realization on the joint Fock space and sandwiches one
+interaction between bath-energy eigenprojectors.
 
 RNG: numpy's counter-based Philox generator, keyed (base_seed, trajectory
 index); identical seeds reproduce trajectories bit for bit on any platform.
@@ -39,39 +41,35 @@ class JumpChannel:
     superop: np.ndarray  # Schroedinger picture
 
 
-def _bath_quantum(model: ThermalQuasiFreeModel, i: int) -> float:
-    """The positive kappa eigenvalue of a single-mode bath."""
-    b = model.baths[i]
-    if b.n_modes != 1:
-        raise UnsupportedModelError(
-            f"bath {i} has {b.n_modes} modes; jump channels are only defined for single-mode baths"
-        )
-    w = np.linalg.eigvalsh(b.kappa.maj)
-    return float(w.max())
+def _mode_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
+    """Production route: one channel per eigenmode c of kappa_i, keyed by its energy w_c."""
+    gammas = fock.majorana_matrices(model.n_modes)
+    w, n, t = model.bath_modes(i)
+    channels = {}
+    for wc, nc, tc in zip(w, n, t.T):
+        s = so.adjoint_super(fock.kernel_superop(nc * np.outer(tc, tc.conj()), gammas))
+        channels[float(wc)] = channels.get(float(wc), 0.0) + s
+    return {d: s for d, s in channels.items() if np.max(np.abs(s)) > CHANNEL_NORM_FLOOR}
 
 
-def _single_bath_model(model: ThermalQuasiFreeModel, i: int) -> ThermalQuasiFreeModel:
-    return ThermalQuasiFreeModel(t_s=model.t_s, kappa_s=model.kappa_s, baths=(model.baths[i],))
-
-
-def _snap_delta(value: float, omega: float, tol: float = 1e-8) -> float:
-    """Snap an energy difference onto the canonical sector values {-omega, 0, omega}."""
-    for d in (-omega, 0.0, omega):
-        if abs(value - d) < tol * max(1.0, omega):
+def _snap_delta(value: float, deltas, tol: float = 1e-8) -> float:
+    """Snap an energy difference onto 0 or one of the bath energies ``deltas``."""
+    for d in (0.0, *deltas):
+        if abs(value - d) < tol * max(1.0, float(np.max(np.abs(deltas)))):
             return d
-    raise UnsupportedModelError(f"energy quantum {value} outside the single-mode sectors +-{omega}")
+    raise UnsupportedModelError(f"energy quantum {value} outside the bath sectors {list(deltas)}")
 
 
-def _projector_channels(model: ThermalQuasiFreeModel, i: int):
-    """Bath-projector route: sandwich one interaction between K_B eigenprojectors.
+def _projector_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
+    """Reference route: sandwich one interaction between K_B eigenprojectors.
 
     On the joint (system + this bath) realization, the weak-coupling jump map
     of bath i resolves exactly into energy sectors: the Kraus operator for a
-    bath transition |n> -> |m| of K_B is sqrt(p_n) <m| H_SB |n>, carrying the
+    bath transition |n> -> |m> of K_B is sqrt(p_n) <m| H_SB |n>, carrying the
     quantum delta = E_m - E_n into the bath.
     """
-    sub = _single_bath_model(model, i)
-    omega = _bath_quantum(model, i)
+    sub = ThermalQuasiFreeModel(t_s=model.t_s, kappa_s=model.kappa_s, baths=(model.baths[i],))
+    deltas = [float(d) for d in model.bath_modes(i)[0]]
     real = fock.joint_realization(sub)
     dim_s = 2 ** real["n_system"]
     dim_b = 2 ** (real["n_total"] - real["n_system"])
@@ -88,78 +86,36 @@ def _projector_channels(model: ThermalQuasiFreeModel, i: int):
         if p < 1e-300:
             continue
         for m in range(dim_b):
-            delta = _snap_delta(w[m] - w[n], omega)
+            delta = _snap_delta(w[m] - w[n], deltas)
             kraus = np.sqrt(p) * h_eig[m, :, n, :]
             if np.max(np.abs(kraus)) < 1e-15:
                 continue
-            s = so.sandwich(kraus, kraus.conj().T)
-            if delta in channels:
-                channels[delta] = channels[delta] + s
-            else:
-                channels[delta] = s
-    return channels
-
-
-def _kernel_channels(model: ThermalQuasiFreeModel, i: int, omega: float):
-    """Interpolation route: resolve the deformed jump map in powers of e^{alpha omega}.
-
-    The counting-field tilt multiplies the delta channel by e^{alpha delta}
-    with delta in {-omega, 0, +omega}; evaluating the tilted map at three
-    alphas and solving the Vandermonde system isolates the channels.
-    """
-    sub = _single_bath_model(model, i)
-    gammas = fock.majorana_matrices(sub.n_modes)
-    alphas = np.array([0.0, 0.7 / omega, -0.7 / omega])
-    maps = []
-    for a in alphas:
-        kernel = sub.jump_kernel(0) + fock.deformed_kernel(sub, [a])
-        maps.append(so.adjoint_super(fock.kernel_superop(kernel, gammas)))
-    vand = np.array([[np.exp(a * d) for d in (-omega, 0.0, omega)] for a in alphas])
-    coef = np.linalg.solve(vand, np.stack([m.reshape(-1) for m in maps]))
-    out = {}
-    for d, row in zip((-omega, 0.0, omega), coef):
-        s = row.reshape(maps[0].shape)
-        if np.max(np.abs(s)) > CHANNEL_NORM_FLOOR:
-            out[d] = s
-    return out
+            channels[delta] = channels.get(delta, 0.0) + so.sandwich(kraus, kraus.conj().T)
+    return {d: s for d, s in channels.items() if np.max(np.abs(s)) > CHANNEL_NORM_FLOOR}
 
 
 def extract_channels(model: ThermalQuasiFreeModel, cross_check: bool = True, tol: float = 1e-9):
-    """All jump channels of the model; requires single-mode baths.
+    """All jump channels of the model, by bath and ascending delta; requires single-mode baths.
 
-    The projector route is authoritative; with ``cross_check`` the
-    interpolation route must agree to ``tol`` and the channels must sum to the
-    undeformed jump map.
+    The eigenmode route is authoritative; with ``cross_check`` the projector
+    route must agree with it to ``tol``.
     """
     channels = []
-    phi_total = None
-    for i in range(model.n_baths):
-        omega = _bath_quantum(model, i)
-        by_delta = _projector_channels(model, i)
-        by_delta = {d: s for d, s in by_delta.items() if np.max(np.abs(s)) > CHANNEL_NORM_FLOOR}
+    for i, bath in enumerate(model.baths):
+        if bath.n_modes != 1:
+            raise UnsupportedModelError(
+                f"bath {i} has {bath.n_modes} modes; jump channels are only defined for single-mode baths"
+            )
+        by_delta = _mode_channels(model, i)
         if cross_check:
-            alt = _kernel_channels(model, i, omega)
-            keys = sorted(set(by_delta) | set(alt))
-            for d in keys:
-                a = by_delta.get(d, 0.0)
-                b = alt.get(d, 0.0)
-                err = np.max(np.abs(a - b))
+            ref = _projector_channels(model, i)
+            for d in sorted(set(by_delta) | set(ref)):
+                err = np.max(np.abs(by_delta.get(d, 0.0) - ref.get(d, 0.0)))
                 if err > tol:
                     raise UnsupportedModelError(
                         f"channel extraction routes disagree for bath {i}, delta {d}: {err:.3e}"
                     )
-        for d in sorted(by_delta):
-            s = by_delta[d]
-            channels.append(JumpChannel(bath=i, delta=float(d), superop=s))
-            phi_total = s if phi_total is None else phi_total + s
-    if cross_check and channels:
-        gammas = fock.majorana_matrices(model.n_modes)
-        direct = np.zeros_like(phi_total)
-        for i in range(model.n_baths):
-            direct += so.adjoint_super(fock.kernel_superop(model.jump_kernel(i), gammas))
-        err = np.max(np.abs(phi_total - direct))
-        if err > tol:
-            raise UnsupportedModelError(f"channel sum misses the jump map by {err:.3e}")
+        channels.extend(JumpChannel(bath=i, delta=d, superop=by_delta[d]) for d in sorted(by_delta))
     return channels
 
 

@@ -3,6 +3,7 @@ import json
 import logging
 
 import numpy as np
+import pytest
 
 from fermiflux import chain, cli, deviations, thermal
 from fermiflux.errors import InternalConsistencyError
@@ -83,6 +84,25 @@ class TestFlux:
         assert run_cli(["flux"]) == 1
         # both sources at once is also a usage error
         assert run_cli(["flux", "--model", "x.json", "--chain-L", "2"]) == 1
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["flux", "--chain-L", "0"],
+            ["flux", "--chain-L", "abc"],
+            ["flux", "--chain-L", "2-x"],
+            ["rate", "--chain-L", "3-2"],
+            ["e-alpha", "--chain-L", "2", "--alpha=a,b"],
+            ["machine", "--synthesize", "1,-1"],
+        ],
+    )
+    def test_bad_input_usage_error(self, args, capsys):
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestValidateCommand:

@@ -204,6 +204,21 @@ class TestDeformed:
         assert abs(lam.real - deviations.e_alpha(chain2, [0.3, 0.0])) < 1e-8
 
 
+    def test_matches_e_alpha_on_pairing_models(self):
+        # the tilt acts on the bath quantum, so Fock keeps up with the blocks at large alpha
+        from fermiflux import deviations
+
+        models = make_models(0, 2, n_modes=2, n_baths=3, kind="spectral")
+        models += make_models(1, 2, n_modes=3, n_baths=4, kind="spectral")
+        models += make_models(1, 1, n_modes=3, n_baths=3, kind="spectral")  # e identically 0
+        for model in models:
+            alpha = np.zeros(model.n_baths)
+            alpha[0] = 6.0
+            lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, alpha))
+            e = deviations.e_alpha(model, alpha)
+            assert abs(lam.real - e) < 1e-10 * max(1.0, abs(e))
+
+
 class TestDiscreteStep:
     def test_pure_hamiltonian_step_exact(self, chain2):
         closed = thermal.ThermalQuasiFreeModel(t_s=chain2.t_s, kappa_s=chain2.kappa_s, baths=())
@@ -256,13 +271,25 @@ class TestDetailedBalance:
         assert resid > 1e-3
 
     def test_random_models(self):
-        for model in make_models(7, 3, n_modes=2, n_baths=2):
+        # the L=4 pairing draws have ill-conditioned sigma; the residual must not carry cond(sigma)
+        models = make_models(7, 3, n_modes=2, n_baths=2)
+        models += make_models(0, 2, n_modes=4, n_baths=4, kind="spectral")
+        for model in models:
             for i in range(model.n_baths):
                 sigma = fock.quasi_free_state(
                     model.gibbs_system_covariance(model.baths[i].beta)
                 ).density
                 resid = fock.detailed_balance_residual(fock.phi_heisenberg(model, i), sigma)
                 assert resid < 1e-10
+
+    def test_perturbed_coupling_fails(self, chain2):
+        b0 = chain2.baths[0]
+        theta = b0.theta.maj.copy()
+        theta[0, 0] += 1e-8j
+        bath = thermal.BathSpec(b0.beta, b0.kappa, ps.CouplingMatrix(theta, ps.Basis.MAJORANA))
+        model = thermal.ThermalQuasiFreeModel(chain2.t_s, chain2.kappa_s, (bath,) + chain2.baths[1:])
+        sigma = fock.quasi_free_state(model.gibbs_system_covariance(b0.beta)).density
+        assert fock.detailed_balance_residual(fock.phi_heisenberg(model, 0), sigma) > 1e-10
 
 
 class TestEntropyBalance:

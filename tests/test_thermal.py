@@ -55,6 +55,30 @@ class TestFluxes:
             j_fock = fock.bath_flux(model, rho)
             assert np.max(np.abs(j_ps - j_fock)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: chain.build(chain.ChainSpec(length=1)),
+            lambda: chain.build(chain.ChainSpec(length=2, theta0=0.7, beta0=2.0, betaL=-0.3)),
+            lambda: chain.build(chain.ChainSpec(length=20)),
+            lambda: make_models(5, 1, n_modes=3, n_baths=4, kind="spectral")[0],
+            lambda: make_models(6, 1, n_modes=3, n_baths=3, kind="uniform")[0],
+            lambda: make_models(7, 1, n_modes=3, n_baths=3, kind="tr_broken")[0],
+        ],
+        ids=["chain1", "chain2", "chain20", "spectral", "uniform", "tr_broken"],
+    )
+    def test_matches_paper_formula(self, build):
+        # J_i = (1/2) Tr(kappa_S D_i(M_beta_i - M)), D_i(A) = (1/2){Theta_i Theta_i^*, A}
+        model = build()
+        ks = model.kappa_s.maj
+        for m in (dynamics.stationary_covariance(model), model.gibbs_system_covariance(0.37)):
+            paper = []
+            for i, b in enumerate(model.baths):
+                d = model.dissipation_matrix(i)
+                delta = model.gibbs_system_covariance(b.beta).maj - m.maj
+                paper.append(0.25 * np.trace(ks @ (d @ delta + delta @ d)).real)
+            assert np.max(np.abs(thermal.fluxes(model, m) - paper)) < 1e-13
+
     def test_bath_permutation_invariance(self, chain2):
         m = dynamics.stationary_covariance(chain2)
         j = thermal.fluxes(chain2, m)

@@ -28,7 +28,8 @@ def chain2_setup(chain2m):
 class TestChannels:
     def test_chain_two_per_bath(self, chain2m):
         chs = unravel.extract_channels(chain2m)
-        got = sorted((c.bath, c.delta) for c in chs)
+        # by bath, ascending delta, each delta exactly the bath energy
+        got = [(c.bath, c.delta) for c in chs]
         assert got == [(0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0)]
 
     def test_zero_coupling_empty(self, chain2m):
@@ -56,7 +57,11 @@ class TestChannels:
             assert so.is_completely_positive(c.superop, tol=1e-10)
 
     def test_routes_agree_random_models(self):
-        for model in make_models(41, 2, n_modes=2, n_baths=2):
+        models = make_models(41, 2, n_modes=2, n_baths=2)
+        models += make_models(42, 1, n_modes=3, n_baths=3, kind="spectral")
+        models += make_models(43, 1, n_modes=3, n_baths=3, kind="uniform")
+        models += make_models(44, 1, n_modes=2, n_baths=3, kind="tr_broken")
+        for model in models:
             unravel.extract_channels(model, cross_check=True, tol=1e-9)
 
     def test_multimode_bath_rejected(self, chain2m):
