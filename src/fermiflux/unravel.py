@@ -54,10 +54,11 @@ def _mode_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
 
 def _snap_delta(value: float, deltas, tol: float = 1e-8) -> float:
     """Snap an energy difference onto 0 or one of the bath energies ``deltas``."""
+    scale = tol * max(1.0, *map(abs, deltas))
     for d in (0.0, *deltas):
-        if abs(value - d) < tol * max(1.0, float(np.max(np.abs(deltas)))):
+        if abs(value - d) < scale:
             return d
-    raise UnsupportedModelError(f"energy quantum {value} outside the bath sectors {list(deltas)}")
+    raise UnsupportedModelError(f"energy quantum {value} outside the bath sectors {deltas}")
 
 
 def _projector_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
@@ -69,7 +70,7 @@ def _projector_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
     quantum delta = E_m - E_n into the bath.
     """
     sub = ThermalQuasiFreeModel(t_s=model.t_s, kappa_s=model.kappa_s, baths=(model.baths[i],))
-    deltas = [float(d) for d in model.bath_modes(i)[0]]
+    deltas = model.bath_modes(i)[0].tolist()
     real = fock.joint_realization(sub)
     dim_s = 2 ** real["n_system"]
     dim_b = 2 ** (real["n_total"] - real["n_system"])
@@ -219,7 +220,7 @@ def _make_context(model: ThermalQuasiFreeModel, channels=None) -> _SimContext:
         channels = extract_channels(model, cross_check=False)
     g = no_jump_generator(model)
     dim = g.shape[0]
-    mats = [ch.superop.reshape(dim, dim, dim, dim) for ch in channels]
+    mats = [np.ascontiguousarray(ch.superop).reshape(dim, dim, dim, dim) for ch in channels]
     return _SimContext(g=g, solver=_SurvivalSolver(g), channels=channels, channel_mats=mats)
 
 
