@@ -305,7 +305,7 @@ def cmd_mc(args) -> int:
     out.write(_header(model, seed=args.seed, T=args.T, trajectories=args.trajectories))
     out.write(unravel.records_to_csv(records))
     for i in range(model.n_baths):
-        z = (mean[i] - j[i]) / sem[i] if sem[i] > 0 else 0.0
+        z = (mean[i] - j[i]) / sem[i] if sem[i] != 0 else 0.0  # nan for a single trajectory
         out.write(f"# summary bath {i}: mean_rate {mean[i]:.6e} stderr {sem[i]:.6e} J {j[i]:.6e} z {z:.3f}\n")
     _emit(args, out.getvalue())
     return EXIT_OK

@@ -36,10 +36,9 @@ L_MAX = 6
 _PAIRINGS4 = (((0, 1), (2, 3), 1.0), ((0, 2), (1, 3), -1.0), ((0, 3), (1, 2), 1.0))
 
 
-def _check_cap(n_modes: int, cap: int | None = None) -> None:
-    cap = L_MAX if cap is None else cap  # module-level cap is configurable
-    if not 1 <= n_modes <= cap:
-        raise ResourceLimitError(f"Fock layer supports 1 <= L <= {cap}, got {n_modes}")
+def _check_cap(n_modes: int) -> None:
+    if not 1 <= n_modes <= L_MAX:
+        raise ResourceLimitError(f"Fock layer supports 1 <= L <= {L_MAX}, got {n_modes}")
 
 
 @lru_cache(maxsize=None)
@@ -172,20 +171,8 @@ def wick_check(state: QuasiFreeState, indices) -> tuple[complex, complex]:
 
 
 # ---------------------------------------------------------------------------
-# Lindbladian and deformed generator (kernel construction)
+# Lindbladian and deformed generator (one Kraus operator per bath eigenmode)
 # ---------------------------------------------------------------------------
-
-
-def kernel_superop(kernel: np.ndarray, gammas) -> np.ndarray:
-    """Heisenberg map A -> (1/2) sum_kl kernel_kl g_k A g_l as a superoperator."""
-    n = kernel.shape[0]
-    dim = gammas[0].shape[0]
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            if kernel[k, l] != 0:
-                out += 0.5 * kernel[k, l] * so.sandwich(gammas[k], gammas[l])
-    return out
 
 
 def system_hamiltonian(model: ThermalQuasiFreeModel) -> np.ndarray:
@@ -196,77 +183,80 @@ def pseudo_energy(model: ThermalQuasiFreeModel) -> np.ndarray:
     return quadratic_operator(model.kappa_s, model.n_modes)
 
 
+def jump_operators(model: ThermalQuasiFreeModel, i: int):
+    """Energies w and Kraus operators J of bath i, one per eigenmode c of kappa_i.
+
+    J_c = sqrt(n_c / 2) sum_k conj(t_kc) gamma_k is linear in the system
+    fermions (w, n, t from ``bath_modes``); a jump through J_c carries the
+    quantum w_c into the bath.  Summed over c the Kraus operators rebuild
+    the jump kernel K = ``jump_kernel(i)``:
+
+        sum_c J_c^dagger A J_c = (1/2) sum_kl K_kl gamma_k A gamma_l.
+
+    J has shape (2 L_B, d, d) with d = 2^L.
+    """
+    _check_cap(model.n_modes)
+    w, n, t = model.bath_modes(i)
+    gammas = np.array(majorana_matrices(model.n_modes))
+    return w, np.sqrt(n / 2)[:, None, None] * np.tensordot(t.conj().T, gammas, axes=1)
+
+
 def phi_heisenberg(model: ThermalQuasiFreeModel, bath: int | None = None) -> np.ndarray:
     """Completely positive part of the generator (Heisenberg picture).
 
     With ``bath`` given, only that bath's contribution.
     """
-    _check_cap(model.n_modes)
-    gammas = majorana_matrices(model.n_modes)
     idx = range(model.n_baths) if bath is None else [bath]
     dim = 2**model.n_modes
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
     for i in idx:
-        out += kernel_superop(model.jump_kernel(i), gammas)
+        ks = jump_operators(model, i)[1]
+        out += so.kraus_map(ks.conj().transpose(0, 2, 1))  # A -> sum J^dagger A J
     return out
-
-
-def _dissipator_from_phi(phi_h: np.ndarray, dim: int) -> np.ndarray:
-    """Schroedinger dissipator Phi^*(rho) - (1/2){Phi(1), rho} from Heisenberg Phi."""
-    phi_one = so.unvec(phi_h @ so.vec(np.eye(dim)))
-    return so.adjoint_super(phi_h) - 0.5 * so.anticommutator_super(phi_one)
 
 
 def bath_generator(model: ThermalQuasiFreeModel, bath: int) -> np.ndarray:
     """Schroedinger-picture dissipative piece of a single bath (no Hamiltonian)."""
-    dim = 2**model.n_modes
-    return _dissipator_from_phi(phi_heisenberg(model, bath), dim)
+    return so.dissipator(jump_operators(model, bath)[1])
 
 
-def build_lindbladian(model: ThermalQuasiFreeModel) -> np.ndarray:
-    """Full Schroedinger-picture generator rho' = -i[H,rho] + dissipators."""
-    dim = 2**model.n_modes
-    h = system_hamiltonian(model)
-    gen = -1j * so.commutator_super(h)
-    gen += _dissipator_from_phi(phi_heisenberg(model), dim)
-    return gen
+def _generator(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
+    """-i[H, rho] + sum_{i,c} e^{alpha_i w_c} J_c rho J_c^dagger - (1/2){Phi(1), rho}.
 
-
-def deformed_kernel(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
-    """Majorana matrix of sum_i Theta_i (e^{alpha_i kappa_i} - 1) M_{B_i} Theta_i^*.
-
-    This is the counting-field tilt of the jump part: every quantum w of bath
-    i's energy is weighted by exp(alpha_i w), which shifts the Heisenberg jump
-    map by the kernel returned here.  The tilt is applied to the bath
-    quantum: ``jump_kernel(i, alpha_i) - jump_kernel(i)``.
+    The counting field tilts each jump by its bath quantum; the no-jump part
+    (1/2){Phi(1), .} keeps the untilted rates.
     """
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (model.n_baths,):
         raise MalformedInputError("alpha must have one entry per bath")
-    out = np.zeros((2 * model.n_modes, 2 * model.n_modes), dtype=complex)
+    h = system_hamiltonian(model)
+    gen = -1j * so.commutator_super(h)
+    phi_one = np.zeros_like(h)
     for i, a in enumerate(alpha):
-        out += model.jump_kernel(i, a) - model.jump_kernel(i)
-    return out
+        w, ks = jump_operators(model, i)
+        gen += so.kraus_map(np.exp(0.5 * a * w)[:, None, None] * ks)
+        phi_one += so.kraus_rate(ks)
+    return gen - 0.5 * so.anticommutator_super(phi_one)
+
+
+def build_lindbladian(model: ThermalQuasiFreeModel) -> np.ndarray:
+    """Full Schroedinger-picture generator rho' = -i[H,rho] + dissipators."""
+    return _generator(model, np.zeros(model.n_baths))
 
 
 def build_deformed(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     """Schroedinger generator of the counting-field-deformed semigroup.
 
-    At alpha = 0 this is exactly :func:`build_lindbladian`; its dominant
-    eigenvalue is the long-time cumulant generating function of the vector of
-    energies exchanged with the baths.
+    Each jump into bath i is weighted by exp(alpha_i w_c).  At alpha = 0 this is
+    exactly :func:`build_lindbladian`; its dominant eigenvalue is the long-time
+    cumulant generating function of the energies exchanged with the baths.
     """
-    gen = build_lindbladian(model)
-    alpha = np.asarray(alpha, dtype=float)
-    if not np.any(alpha):
-        return gen
-    gammas = majorana_matrices(model.n_modes)
-    return gen + so.adjoint_super(kernel_superop(deformed_kernel(model, alpha), gammas))
+    return _generator(model, alpha)
 
 
-def dominant_eigenvalue(gen: np.ndarray, gap_tol: float = 1e-10):
+def dominant_eigenvalue(gen: np.ndarray):
     """Largest-real-part eigenvalue, its trace-normalized eigenvector and the gap."""
-    lam, v, gap = so.dominant_eigenpair(gen, gap_tol)
+    lam, v, gap = so.dominant_eigenpair(gen)
     rho = so.unvec(v)
     tr = np.trace(rho)
     if abs(tr) > 1e-12:

@@ -46,20 +46,12 @@ class Dissipator:
     kraus: tuple
 
     def phi_heisenberg(self) -> np.ndarray:
-        dim = self.kraus[0].shape[0]
-        out = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for k in self.kraus:
-            out += so.sandwich(k.conj().T, k)  # A -> K^dagger A K
-        return out
+        """Heisenberg map A -> sum_k K_k^dagger A K_k."""
+        return so.kraus_map([k.conj().T for k in self.kraus])
 
     def generator(self) -> np.ndarray:
         """Schroedinger piece Phi^*(rho) - (1/2){Phi(1), rho}."""
-        dim = self.kraus[0].shape[0]
-        phi_one = sum(k.conj().T @ k for k in self.kraus)
-        out = -0.5 * so.anticommutator_super(phi_one)
-        for k in self.kraus:
-            out += so.sandwich(k, k.conj().T)
-        return out
+        return so.dissipator(self.kraus)
 
 
 def depolarizing(sigma: np.ndarray, rate: float, bath: int = 0, dim_left: int = 1, dim_right: int = 1) -> Dissipator:

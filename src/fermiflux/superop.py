@@ -41,6 +41,25 @@ def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b.T)
 
 
+def kraus_map(ks) -> np.ndarray:
+    """Superoperator rho -> sum_k K_k rho K_k^dagger of a stack of Kraus operators."""
+    ks = np.asarray(ks)
+    d = ks.shape[-1]
+    flat = ks.reshape(-1, d * d)
+    # entry [(a, c), (b, d)] is sum_k K_ab conj(K_cd), i.e. sum_k K kron conj(K)
+    return (flat.T @ flat.conj()).reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
+
+
+def kraus_rate(ks) -> np.ndarray:
+    """The rate operator sum_k K_k^dagger K_k, the Heisenberg image of 1."""
+    return np.einsum("kab,kac->bc", np.conj(ks), ks)
+
+
+def dissipator(ks) -> np.ndarray:
+    """Schroedinger dissipator rho -> sum_k K_k rho K_k^dagger - (1/2){sum_k K_k^dagger K_k, rho}."""
+    return kraus_map(ks) - 0.5 * anticommutator_super(kraus_rate(ks))
+
+
 def commutator_super(h: np.ndarray) -> np.ndarray:
     """Superoperator rho -> [h, rho]."""
     return left_mul(h) - right_mul(h)
@@ -72,7 +91,7 @@ def is_completely_positive(s: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(w.min() >= -tol)
 
 
-def dominant_eigenpair(s: np.ndarray, gap_tol: float = 1e-10):
+def dominant_eigenpair(s: np.ndarray):
     """Eigenvalue of largest real part and its eigenvector, by full dense solve.
 
     Returns ``(eigenvalue, eigenvector, gap)`` where ``gap`` is the real-part

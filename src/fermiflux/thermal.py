@@ -12,7 +12,7 @@ of the structural (xi) invariants of every ingredient.  The second one gives
 Theta_i f(kappa_i) = f(kappa_S) Theta_i for every function f, so each
 bath-side quantity has a system-side twin.  Everything here is computed on
 the bath side, from the eigenmodes of kappa_i (:meth:`ThermalQuasiFreeModel.bath_modes`):
-the jump kernel, its counting-field tilt and the fluxes.
+the jump kernel and the fluxes here, and the jump operators in ``fock``.
 
 Flux conventions: J_i is the mean energy flow *into* bath i per unit time, so
 at stationarity sum_i J_i = 0 and the entropy production sum_i beta_i J_i is
@@ -120,13 +120,10 @@ class ThermalQuasiFreeModel:
         w, v = np.linalg.eigh(b.kappa.maj)
         return w, expit(b.beta * w), b.theta.maj @ v
 
-    def jump_kernel(self, i: int, alpha: float = 0.0) -> np.ndarray:
-        """Majorana matrix of Theta_i e^{alpha kappa_i} M_{B_i} Theta_i^*, the bath-i noise kernel.
-
-        At alpha = 0 this is the jump kernel; alpha tilts each bath quantum w by e^{alpha w}.
-        """
-        w, n, t = self.bath_modes(i)
-        return (t * (n * np.exp(alpha * w))) @ t.conj().T
+    def jump_kernel(self, i: int) -> np.ndarray:
+        """Majorana matrix of Theta_i M_{B_i} Theta_i^*, the bath-i jump kernel sum_c n_c t_c t_c^*."""
+        _, n, t = self.bath_modes(i)
+        return (t * n) @ t.conj().T
 
     def dissipation_matrix(self, i: int) -> np.ndarray:
         """Majorana matrix of Theta_i Theta_i^*."""

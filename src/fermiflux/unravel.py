@@ -4,14 +4,15 @@ Trajectories are sampled exactly (no time-step discretization): between jumps
 the unnormalized conditional state evolves as h(t) = e^{tG} h e^{tG*} with
 G = -i H_S - (1/2) Phi(1), the next jump time solves survival(t) = u for a
 uniform u through safeguarded bisection, and the jump channel (bath i, energy
-quantum delta) is drawn proportionally to tr(Phi_{i,delta}^*(h)).
+quantum delta) is drawn proportionally to tr(R h): one contraction of h with
+the stacked rate operators R = sum_K K^dagger K gives every channel weight.
 
-The channel of bath i and quantum delta = w_c is the piece of the jump map
-carried by one eigenmode c of kappa_i (``ThermalQuasiFreeModel.bath_modes``):
-the Heisenberg map with kernel n_c t_c t_c^*, whose Kraus operator lowers
-K_S by w_c.  The reference route, run by the cross-check, builds the explicit
-system + bath realization on the joint Fock space and sandwiches one
-interaction between bath-energy eigenprojectors.
+A channel is a list of Kraus operators, the J_c = sqrt(n_c/2) sum_k conj(t_kc)
+gamma_k of the eigenmodes c of kappa_i with energy w_c = delta
+(``fock.jump_operators``); a jump maps h -> sum_K K h K^dagger.  The reference
+route, run by the cross-check, builds the explicit system + bath realization
+on the joint Fock space and sandwiches one interaction between bath-energy
+eigenprojectors.
 
 RNG: numpy's counter-based Philox generator, keyed (base_seed, trajectory
 index); identical seeds reproduce trajectories bit for bit on any platform.
@@ -38,18 +39,19 @@ class JumpChannel:
 
     bath: int
     delta: float
-    superop: np.ndarray  # Schroedinger picture
+    kraus: np.ndarray  # (k, d, d)
+
+    def apply(self, h: np.ndarray) -> np.ndarray:
+        """h -> sum_K K h K^dagger."""
+        ks = self.kraus
+        return (ks @ h @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def _mode_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
-    """Production route: one channel per eigenmode c of kappa_i, keyed by its energy w_c."""
-    gammas = fock.majorana_matrices(model.n_modes)
-    w, n, t = model.bath_modes(i)
-    channels = {}
-    for wc, nc, tc in zip(w, n, t.T):
-        s = so.adjoint_super(fock.kernel_superop(nc * np.outer(tc, tc.conj()), gammas))
-        channels[float(wc)] = channels.get(float(wc), 0.0) + s
-    return {d: s for d, s in channels.items() if np.max(np.abs(s)) > CHANNEL_NORM_FLOOR}
+    """Production route: the Kraus operators J_c of bath i grouped by energy w_c; empty ones dropped."""
+    w, ks = fock.jump_operators(model, i)
+    channels = {float(d): ks[w == d] for d in np.unique(w)}
+    return {d: k for d, k in channels.items() if np.max(np.abs(so.kraus_rate(k))) > CHANNEL_NORM_FLOOR}
 
 
 def _snap_delta(value: float, deltas, tol: float = 1e-8) -> float:
@@ -98,8 +100,8 @@ def _projector_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
 def extract_channels(model: ThermalQuasiFreeModel, cross_check: bool = True, tol: float = 1e-9):
     """All jump channels of the model, by bath and ascending delta; requires single-mode baths.
 
-    The eigenmode route is authoritative; with ``cross_check`` the projector
-    route must agree with it to ``tol``.
+    The eigenmode route is authoritative; with ``cross_check`` (the only
+    d^2 x d^2 step) the projector route must agree with its ``kraus_map`` to ``tol``.
     """
     channels = []
     for i, bath in enumerate(model.baths):
@@ -111,12 +113,13 @@ def extract_channels(model: ThermalQuasiFreeModel, cross_check: bool = True, tol
         if cross_check:
             ref = _projector_channels(model, i)
             for d in sorted(set(by_delta) | set(ref)):
-                err = np.max(np.abs(by_delta.get(d, 0.0) - ref.get(d, 0.0)))
+                mine = so.kraus_map(by_delta[d]) if d in by_delta else 0.0
+                err = np.max(np.abs(mine - ref.get(d, 0.0)))
                 if err > tol:
                     raise UnsupportedModelError(
                         f"channel extraction routes disagree for bath {i}, delta {d}: {err:.3e}"
                     )
-        channels.extend(JumpChannel(bath=i, delta=d, superop=by_delta[d]) for d in sorted(by_delta))
+        channels.extend(JumpChannel(bath=i, delta=d, kraus=by_delta[d]) for d in sorted(by_delta))
     return channels
 
 
@@ -199,33 +202,30 @@ class _SurvivalSolver:
 
 
 def no_jump_generator(model: ThermalQuasiFreeModel) -> np.ndarray:
-    """G = -i H_S - (1/2) Phi(1) on the system Fock space."""
-    h = fock.system_hamiltonian(model)
-    phi_h = fock.phi_heisenberg(model)
-    dim = h.shape[0]
-    phi_one = so.unvec(phi_h @ so.vec(np.eye(dim)))
-    return -1j * h - 0.5 * phi_one
+    """G = -i H_S - (1/2) sum J^dagger J on the system Fock space, over every bath eigenmode."""
+    g = -1j * fock.system_hamiltonian(model)
+    for i in range(model.n_baths):
+        g -= 0.5 * so.kraus_rate(fock.jump_operators(model, i)[1])
+    return g
 
 
 @dataclass
 class _SimContext:
-    g: np.ndarray
     solver: _SurvivalSolver
     channels: list
-    channel_mats: list  # reshaped (d, d, d, d) for fast application
+    rates: np.ndarray  # (n_channels, d, d): the rate operator sum K^dagger K of each channel
+
+    def weights(self, h: np.ndarray) -> np.ndarray:
+        """Channel weights tr(R h), clipped at 0."""
+        return np.maximum(np.einsum("kij,ji->k", self.rates, h).real, 0.0)
 
 
 def _make_context(model: ThermalQuasiFreeModel, channels=None) -> _SimContext:
     if channels is None:
         channels = extract_channels(model, cross_check=False)
     g = no_jump_generator(model)
-    dim = g.shape[0]
-    mats = [np.ascontiguousarray(ch.superop).reshape(dim, dim, dim, dim) for ch in channels]
-    return _SimContext(g=g, solver=_SurvivalSolver(g), channels=channels, channel_mats=mats)
-
-
-def _apply_channel(mat4, h):
-    return np.einsum("ijkl,kl->ij", mat4, h)
+    rates = np.array([so.kraus_rate(ch.kraus) for ch in channels])
+    return _SimContext(solver=_SurvivalSolver(g), channels=channels, rates=rates)
 
 
 def simulate(
@@ -262,16 +262,14 @@ def simulate(
             break
         t_now += dt
         h = solver.evolve(h, dt)  # unnormalized, trace u
-        weights = np.empty(n_channels)
-        for k in range(n_channels):
-            weights[k] = max(np.trace(_apply_channel(ctx.channel_mats[k], h)).real, 0.0)
+        weights = ctx.weights(h)
         total = weights.sum()
         if total <= 0.0:
             log_weight += np.log(max(u, 1e-300))
             break  # dark state: no channel can fire
         k = int(rng.choice(n_channels, p=weights / total))
         ch = ctx.channels[k]
-        h = _apply_channel(ctx.channel_mats[k], h)
+        h = ch.apply(h)
         norm = np.trace(h).real
         log_weight += np.log(norm)  # telescopes to tr(Psi_T^*(rho0)) with the final survival
         h = h / norm
@@ -299,9 +297,11 @@ def simulate_batch(
 
 
 def mean_rates(records) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and standard error of N_T / T across records."""
+    """Sample mean and standard error of N_T / T across records; nan error for a single record."""
     rates = np.array([r.totals / r.horizon for r in records])
     mean = rates.mean(axis=0)
+    if len(records) < 2:
+        return mean, np.full_like(mean, np.nan)
     sem = rates.std(axis=0, ddof=1) / np.sqrt(len(records))
     return mean, sem
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,19 @@ class TestMc:
         lines = log.read_text().splitlines()
         assert lines[0] == "seed,t,bath,delta"
         assert len(lines) > 1
+
+    def test_single_trajectory_no_warnings(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli([
+                "mc", "--chain-L", "2", "--trajectories", "1", "--T", "10", "--seed", "1",
+                "--out", str(out),
+            ])
+        assert code == 0
+        summary = [l for l in out.read_text().splitlines() if l.startswith("# summary")]
+        assert len(summary) == 2
+        assert all("stderr nan" in l and l.endswith("z nan") for l in summary)
 
     def test_zero_trajectories_usage_error(self):
         assert run_cli(["mc", "--chain-L", "2", "--trajectories", "0", "--T", "5"]) == 1

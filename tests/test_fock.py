@@ -8,7 +8,7 @@ from fermiflux import superop as so
 from fermiflux.errors import MalformedInputError, ResourceLimitError
 from fermiflux.phasespace import Basis, PhaseSpaceMatrix
 
-from conftest import make_models
+from conftest import kernel_map, make_models
 
 
 class TestMajoranaMatrices:
@@ -179,6 +179,52 @@ class TestLindbladian:
         rho_t = so.apply_super(sla.expm(t * gen), rho)
         m_t = dynamics.evolve(m0, chain2, t)
         assert np.max(np.abs(fock.covariance_of(rho_t).maj - m_t.maj)) < 1e-9
+
+
+def _kernel_route_deformed(model, alpha):
+    """-i[H, .] + adjoint(kernel_map(tilted K)) - (1/2){Phi(1), .}, term by term from the kernels."""
+    gammas = fock.majorana_matrices(model.n_modes)
+    dim = 2**model.n_modes
+    tilted = np.zeros((2 * model.n_modes, 2 * model.n_modes), dtype=complex)
+    for i, a in enumerate(alpha):
+        w, n, t = model.bath_modes(i)
+        tilted += (t * (n * np.exp(a * w))) @ t.conj().T
+    phi_one = so.unvec(kernel_map(model.noise_total(), gammas) @ so.vec(np.eye(dim)))
+    return (
+        -1j * so.commutator_super(fock.system_hamiltonian(model))
+        + so.adjoint_super(kernel_map(tilted, gammas))
+        - 0.5 * so.anticommutator_super(phi_one)
+    )
+
+
+def _kernel_route_models():
+    return [
+        chain.build(chain.ChainSpec(length=2, beta0=1.0, betaL=0.0)),
+        make_models(3, 1, n_modes=2, n_baths=3, kind="spectral")[0],
+        make_models(4, 1, n_modes=3, n_baths=2, kind="uniform")[0],
+        make_models(5, 1, n_modes=2, n_baths=3, kind="tr_broken")[0],
+    ]
+
+
+class TestJumpOperators:
+    @pytest.mark.parametrize("idx", range(4), ids=["chain2", "spectral", "uniform", "tr_broken"])
+    def test_kraus_rebuild_jump_kernel(self, idx):
+        model = _kernel_route_models()[idx]
+        gammas = fock.majorana_matrices(model.n_modes)
+        for i in range(model.n_baths):
+            w, ks = fock.jump_operators(model, i)
+            assert ks.shape == (2 * model.baths[i].n_modes,) + gammas[0].shape
+            assert np.array_equal(w, model.bath_modes(i)[0])
+            heis = so.kraus_map(ks.conj().transpose(0, 2, 1))
+            assert np.max(np.abs(heis - kernel_map(model.jump_kernel(i), gammas))) < 1e-12
+
+    @pytest.mark.parametrize("idx", range(4), ids=["chain2", "spectral", "uniform", "tr_broken"])
+    def test_deformed_matches_kernel_route(self, idx):
+        model = _kernel_route_models()[idx]
+        rng = np.random.default_rng(100 + idx)
+        for alpha in (np.zeros(model.n_baths), rng.uniform(-1.0, 1.0, size=model.n_baths)):
+            err = np.max(np.abs(fock.build_deformed(model, alpha) - _kernel_route_deformed(model, alpha)))
+            assert err < 1e-12
 
 
 class TestDeformed:

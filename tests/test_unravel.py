@@ -9,7 +9,7 @@ from fermiflux import superop as so
 from fermiflux.errors import MalformedInputError, UnsupportedModelError
 from fermiflux.thermal import BathSpec, ThermalQuasiFreeModel
 
-from conftest import make_models
+from conftest import kernel_map, make_models
 
 
 @pytest.fixture(scope="module")
@@ -44,17 +44,14 @@ class TestChannels:
 
     def test_sum_reconstructs_jump_map(self, chain2m):
         chs = unravel.extract_channels(chain2m, cross_check=False)
-        total = sum(c.superop for c in chs)
+        total = sum(so.kraus_map(c.kraus) for c in chs)
         gammas = fock.majorana_matrices(chain2m.n_modes)
-        direct = sum(
-            so.adjoint_super(fock.kernel_superop(chain2m.jump_kernel(i), gammas))
-            for i in range(2)
-        )
+        direct = sum(so.adjoint_super(kernel_map(chain2m.jump_kernel(i), gammas)) for i in range(2))
         assert np.max(np.abs(total - direct)) < 1e-10
 
     def test_completely_positive(self, chain2m):
         for c in unravel.extract_channels(chain2m, cross_check=False):
-            assert so.is_completely_positive(c.superop, tol=1e-10)
+            assert so.is_completely_positive(so.kraus_map(c.kraus), tol=1e-10)
 
     def test_routes_agree_random_models(self):
         models = make_models(41, 2, n_modes=2, n_baths=2)
@@ -63,6 +60,24 @@ class TestChannels:
         models += make_models(44, 1, n_modes=2, n_baths=3, kind="tr_broken")
         for model in models:
             unravel.extract_channels(model, cross_check=True, tol=1e-9)
+
+    def test_context_holds_kraus_stacks_only(self):
+        # L=6: a d^2 x d^2 channel superoperator would take 268 MB; the context keeps d x d blocks
+        model = chain.build(chain.ChainSpec(length=6))
+        ctx = unravel._make_context(model)
+        assert [c.kraus.shape for c in ctx.channels] == [(1, 64, 64)] * 4
+        assert ctx.rates.shape == (4, 64, 64)
+        for c, r in zip(ctx.channels, ctx.rates):
+            assert np.max(np.abs(r - so.kraus_rate(c.kraus))) == 0.0
+
+    def test_weights_are_jump_traces(self):
+        # complex couplings: tr(R h) and tr(R^T h) differ, so the contraction order is pinned
+        model = make_models(44, 1, n_modes=2, n_baths=3, kind="tr_broken")[0]
+        ctx = unravel._make_context(model)
+        r = np.random.default_rng(5).normal(size=(2, 4, 4))
+        h = (r[0] + 1j * r[1]) @ (r[0] + 1j * r[1]).conj().T
+        expected = [np.trace(c.apply(h)).real for c in ctx.channels]
+        assert np.max(np.abs(ctx.weights(h) - expected)) < 1e-12
 
     def test_multimode_bath_rejected(self, chain2m):
         kappa2 = ps.embed_gauge_invariant(np.eye(2), "generator")
@@ -107,6 +122,14 @@ class TestSimulate:
         mean, sem = unravel.mean_rates(recs)
         assert np.all(np.abs(mean - j) < 4.0 * sem)
 
+    def test_mean_rate_matches_flux_chain4(self):
+        model = chain.build(chain.ChainSpec(length=4))
+        m_inf = dynamics.stationary_covariance(model)
+        rho0 = fock.quasi_free_state(m_inf).density
+        recs = unravel.simulate_batch(model, rho0, 20.0, 200, base_seed=0)
+        mean, sem = unravel.mean_rates(recs)
+        assert np.all(np.abs(mean - thermal.fluxes(model, m_inf)) < 5.0 * sem)
+
     def test_ensemble_average_state(self, chain2m):
         # averaging conditional states at T reproduces exp(T L^*) rho0
         rho0 = fock.quasi_free_state(chain2m.gibbs_system_covariance(0.3)).density
@@ -120,7 +143,7 @@ class TestSimulate:
             t_prev = 0.0
             for (t, _, _), k in zip(rec.jumps, _jump_channel_indices(rec, ctx)):
                 h = ctx.solver.evolve(h, t - t_prev)
-                h = unravel._apply_channel(ctx.channel_mats[k], h)
+                h = ctx.channels[k].apply(h)
                 h = h / np.trace(h).real
                 t_prev = t
             h = ctx.solver.evolve(h, t_end - t_prev)
@@ -146,7 +169,7 @@ class TestSimulate:
                 needed.append(np.exp((np.log(p) + gammaln(k + 1)) / k) / horizon)
         c_fit = max(needed)
         # compare against the total jump-rate bound sum_i tr-norm of the channels
-        c_theory = sum(np.linalg.norm(c.superop, 2) for c in ctx.channels)
+        c_theory = sum(np.linalg.norm(so.kraus_map(c.kraus), 2) for c in ctx.channels)
         assert c_fit <= 2.0 * c_theory
 
 
