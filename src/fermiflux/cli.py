@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, chain, deviations, dynamics, fock, machines, thermal, unravel
+from . import superop as so
 from .errors import (
     FermifluxError,
     InfeasibleError,
@@ -73,7 +74,19 @@ def _parse_chain_lengths(arg: str):
     return lengths
 
 
+def _finite(flag: str, value: float) -> None:
+    if not np.isfinite(value):
+        raise UsageError(f"{flag} must be a finite number, got {value}")
+
+
+def _positive(flag: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0):
+        raise UsageError(f"{flag} must be a finite positive number, got {value}")
+
+
 def _chain_spec(args, length: int) -> chain.ChainSpec:
+    for flag in ("theta0", "thetaL", "beta0", "betaL"):
+        _finite(f"--{flag}", getattr(args, flag))
     try:
         return chain.ChainSpec(
             length=length, theta0=args.theta0, thetaL=args.thetaL, beta0=args.beta0, betaL=args.betaL
@@ -86,8 +99,7 @@ def _load_model(args):
     sources = sum(x is not None for x in (args.model, args.chain_l))
     if sources != 1:
         raise UsageError("exactly one model source required: --model or --chain-L")
-    if getattr(args, "tol", 1.0) <= 0:
-        raise UsageError("--tol must be positive")
+    _positive("--tol", args.tol)
     if args.model is not None:
         return thermal.load_model(args.model), {"source": args.model}
     lengths = _parse_chain_lengths(args.chain_l)
@@ -160,9 +172,12 @@ def cmd_flux(args) -> int:
 
 def _parse_alpha(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",")])
+        values = np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise UsageError(f"expected a comma list of numbers, got {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"expected finite numbers, got {text!r}")
+    return values
 
 
 def cmd_e_alpha(args) -> int:
@@ -196,6 +211,11 @@ def rate_table(lengths, zetas, curves) -> str:
 
 
 def cmd_rate(args) -> int:
+    if args.points < 1:
+        raise UsageError("--points must be >= 1")
+    _finite("--zeta-min", args.zeta_min)
+    _finite("--zeta-max", args.zeta_max)
+    _positive("--alpha-max", args.alpha_max)
     zetas = np.linspace(args.zeta_min, args.zeta_max, args.points)
     lengths = None
     if args.chain_l is not None:
@@ -233,21 +253,19 @@ def _oracle_checks(model, n_alpha, seed, tol_e=1e-8, tol_cov=1e-7):
     """The fock-vs-phase-space equivalence suite; yields (name, residual, tolerance)."""
     report = thermal.residual_report(model)
     yield "model_structure", max(report.values()), 1e-10
-    gen = fock.build_lindbladian(model)
-    lam0, rho_inf, _ = fock.dominant_eigenvalue(gen)
+    lam0, rho_inf, _ = fock.dominant_eigenvalue(fock.build_lindbladian(model))
     yield "generator_zero_mode", abs(lam0), 1e-9
     m_lyap = dynamics.stationary_covariance(model)
     yield "stationary_covariance", float(
         np.max(np.abs(fock.covariance_of(rho_inf).maj - m_lyap.maj))
     ), 1e-8
     j_ps = thermal.fluxes(model, m_lyap)
-    j_fock = fock.bath_flux(model, rho_inf)
+    lm = fock.lindblad_model(model)
+    j_fock = lm.fluxes(rho_inf)
     yield "stationary_fluxes", float(np.max(np.abs(j_ps - j_fock))), 1e-8
     for i in range(model.n_baths):
         sigma = fock.quasi_free_state(model.gibbs_system_covariance(model.baths[i].beta)).density
-        yield f"detailed_balance_bath{i}", fock.detailed_balance_residual(
-            fock.phi_heisenberg(model, i), sigma
-        ), 1e-10
+        yield f"detailed_balance_bath{i}", so.detailed_balance_residual(lm.phi_heisenberg(i), sigma), 1e-10
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 7], dtype=np.uint64)))
     worst_e = 0.0
     worst_cov = 0.0
@@ -291,6 +309,7 @@ def cmd_oracle(args) -> int:
 def cmd_mc(args) -> int:
     if args.trajectories < 1:
         raise UsageError("--trajectories must be >= 1")
+    _positive("--T", args.T)
     model, _ = _load_model(args)
     thermal.validate(model, tol=args.tol)
     m_inf = dynamics.stationary_covariance(model)

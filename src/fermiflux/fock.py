@@ -201,71 +201,40 @@ def jump_operators(model: ThermalQuasiFreeModel, i: int):
     return w, np.sqrt(n / 2)[:, None, None] * np.tensordot(t.conj().T, gammas, axes=1)
 
 
-def phi_heisenberg(model: ThermalQuasiFreeModel, bath: int | None = None) -> np.ndarray:
-    """Completely positive part of the generator (Heisenberg picture).
-
-    With ``bath`` given, only that bath's contribution.
-    """
-    idx = range(model.n_baths) if bath is None else [bath]
-    dim = 2**model.n_modes
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in idx:
-        ks = jump_operators(model, i)[1]
-        out += so.kraus_map(ks.conj().transpose(0, 2, 1))  # A -> sum J^dagger A J
-    return out
-
-
-def bath_generator(model: ThermalQuasiFreeModel, bath: int) -> np.ndarray:
-    """Schroedinger-picture dissipative piece of a single bath (no Hamiltonian)."""
-    return so.dissipator(jump_operators(model, bath)[1])
-
-
-def _generator(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
-    """-i[H, rho] + sum_{i,c} e^{alpha_i w_c} J_c rho J_c^dagger - (1/2){Phi(1), rho}.
-
-    The counting field tilts each jump by its bath quantum; the no-jump part
-    (1/2){Phi(1), .} keeps the untilted rates.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (model.n_baths,):
-        raise MalformedInputError("alpha must have one entry per bath")
-    h = system_hamiltonian(model)
-    gen = -1j * so.commutator_super(h)
-    phi_one = np.zeros_like(h)
-    for i, a in enumerate(alpha):
-        w, ks = jump_operators(model, i)
-        gen += so.kraus_map(np.exp(0.5 * a * w)[:, None, None] * ks)
-        phi_one += so.kraus_rate(ks)
-    return gen - 0.5 * so.anticommutator_super(phi_one)
+def lindblad_model(model: ThermalQuasiFreeModel) -> so.LindbladModel:
+    """The semigroup on the system Fock space: H_S, K_S, the temperatures and each bath's J stack."""
+    return so.LindbladModel(
+        hamiltonian=system_hamiltonian(model),
+        k_system=pseudo_energy(model),
+        betas=tuple(model.betas),
+        kraus=tuple(jump_operators(model, i)[1] for i in range(model.n_baths)),
+    )
 
 
 def build_lindbladian(model: ThermalQuasiFreeModel) -> np.ndarray:
     """Full Schroedinger-picture generator rho' = -i[H,rho] + dissipators."""
-    return _generator(model, np.zeros(model.n_baths))
+    return lindblad_model(model).generator()
 
 
 def build_deformed(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     """Schroedinger generator of the counting-field-deformed semigroup.
 
-    Each jump into bath i is weighted by exp(alpha_i w_c).  At alpha = 0 this is
-    exactly :func:`build_lindbladian`; its dominant eigenvalue is the long-time
+    Each jump J_c into bath i is weighted by exp(alpha_i w_c) while the no-jump
+    part keeps the untilted rates.  At alpha = 0 this is exactly
+    :func:`build_lindbladian`; its dominant eigenvalue is the long-time
     cumulant generating function of the energies exchanged with the baths.
     """
-    return _generator(model, alpha)
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (model.n_baths,):
+        raise MalformedInputError("alpha must have one entry per bath")
+    scales = [np.exp(0.5 * a * model.bath_modes(i)[0]) for i, a in enumerate(alpha)]
+    return lindblad_model(model).generator(scales)
 
 
 def dominant_eigenvalue(gen: np.ndarray):
     """Largest-real-part eigenvalue, its trace-normalized eigenvector and the gap."""
     lam, v, gap = so.dominant_eigenpair(gen)
-    rho = so.unvec(v)
-    tr = np.trace(rho)
-    if abs(tr) > 1e-12:
-        rho = rho * (np.conj(tr) / abs(tr))  # rotate the arbitrary eigenvector phase away
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-    else:
-        rho = 0.5 * (rho + rho.conj().T)
-    return lam, rho, gap
+    return lam, so.density_of(v), gap
 
 
 # ---------------------------------------------------------------------------
@@ -365,34 +334,8 @@ def discrete_step(model: ThermalQuasiFreeModel, tau: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# detailed balance and entropy balance
+# entropy balance
 # ---------------------------------------------------------------------------
-
-
-def detailed_balance_residual(phi_h: np.ndarray, sigma: np.ndarray) -> float:
-    """max_A || Phi^*(A sigma) - Phi(A) sigma ||_2 over a matrix-unit basis.
-
-    ``phi_h`` is the Heisenberg-picture superoperator of the completely
-    positive part; sigma must be a faithful state.  This is the condition
-    Phi^*(A sigma) sigma^{-1} = Phi(A) multiplied on the right by sigma, so
-    no inverse of sigma, and none of its condition number, enters.
-    """
-    sigma = np.asarray(sigma, dtype=complex)
-    w = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
-    if w.min() <= 0:
-        raise MalformedInputError("detailed balance requires a faithful (positive) sigma")
-    dim = sigma.shape[0]
-    phi_s = so.adjoint_super(phi_h)
-    worst = 0.0
-    unit = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            unit[a, b] = 1.0
-            lhs = so.unvec(phi_s @ so.vec(unit @ sigma))
-            rhs = so.unvec(phi_h @ so.vec(unit)) @ sigma
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-            unit[a, b] = 0.0
-    return worst
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -400,14 +343,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     w = np.clip(w.real, 0.0, None)
     w = w[w > 1e-300]
     return float(-(w * np.log(w)).sum())
-
-
-def bath_flux(model: ThermalQuasiFreeModel, rho: np.ndarray, gens=None) -> np.ndarray:
-    """Fock-space fluxes J_i(rho) = -tr(L_i^*(rho) K_S), one entry per bath."""
-    if gens is None:
-        gens = [bath_generator(model, i) for i in range(model.n_baths)]
-    ks = pseudo_energy(model)
-    return np.array([-np.trace(so.apply_super(g, rho) @ ks).real for g in gens])
 
 
 def entropy_balance(model: ThermalQuasiFreeModel, rho0: np.ndarray, t: float, steps: int = 64) -> float:
@@ -418,18 +353,17 @@ def entropy_balance(model: ThermalQuasiFreeModel, rho0: np.ndarray, t: float, st
     initial state.
     """
     steps = max(2, steps + (steps % 2))
-    gen = build_lindbladian(model)
-    gens = [bath_generator(model, i) for i in range(model.n_baths)]
+    lm = lindblad_model(model)
     betas = model.betas
     h = t / steps
-    prop = sla.expm(h * gen)
+    prop = sla.expm(h * lm.generator())
     rho = np.asarray(rho0, dtype=complex)
     weights = np.ones(steps + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     acc = 0.0
     for k in range(steps + 1):
-        acc += weights[k] * float(betas @ bath_flux(model, rho, gens))
+        acc += weights[k] * float(betas @ lm.fluxes(rho))
         if k < steps:
             rho = so.apply_super(prop, rho)
     integral = acc * h / 3.0

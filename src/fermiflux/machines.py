@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from . import fock
 from . import superop as so
 from .errors import InfeasibleError, MalformedInputError
 
@@ -38,24 +36,8 @@ def gibbs_qubit(energy: float, beta: float) -> np.ndarray:
     return np.diag([1.0, w]) / (1.0 + w)
 
 
-@dataclass(frozen=True, eq=False)
-class Dissipator:
-    """One bath's completely positive piece, given by Kraus-style generators."""
-
-    bath: int
-    kraus: tuple
-
-    def phi_heisenberg(self) -> np.ndarray:
-        """Heisenberg map A -> sum_k K_k^dagger A K_k."""
-        return so.kraus_map([k.conj().T for k in self.kraus])
-
-    def generator(self) -> np.ndarray:
-        """Schroedinger piece Phi^*(rho) - (1/2){Phi(1), rho}."""
-        return so.dissipator(self.kraus)
-
-
-def depolarizing(sigma: np.ndarray, rate: float, bath: int = 0, dim_left: int = 1, dim_right: int = 1) -> Dissipator:
-    """Generalized depolarizing channel toward sigma at the given rate.
+def depolarizing(sigma: np.ndarray, rate: float, dim_left: int = 1, dim_right: int = 1) -> np.ndarray:
+    """Kraus stack of the generalized depolarizing channel toward sigma at the given rate.
 
     L^*(rho) = rate (sigma tr rho - rho) on the sigma factor; ``dim_left`` and
     ``dim_right`` tensor identity factors around it so the channel can act on
@@ -75,102 +57,35 @@ def depolarizing(sigma: np.ndarray, rate: float, bath: int = 0, dim_left: int = 
         for u in range(d):
             k = np.sqrt(rate * w[m]) * np.outer(v[:, m], np.eye(d)[u].astype(complex))
             kraus.append(np.kron(np.kron(np.eye(dim_left), k), np.eye(dim_right)))
-    return Dissipator(bath=bath, kraus=tuple(kraus))
+    return np.array(kraus)
 
 
-@dataclass(frozen=True, eq=False)
-class GenericLindbladModel:
-    """Hamiltonian + bathwise dissipators + conserved observable + temperatures."""
-
-    hamiltonian: np.ndarray
-    k_system: np.ndarray
-    betas: tuple
-    dissipators: tuple
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
-
-    @property
-    def n_baths(self) -> int:
-        return len(self.betas)
-
-    def bath_piece(self, i: int) -> np.ndarray:
-        dim = self.dim
-        out = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for d in self.dissipators:
-            if d.bath == i:
-                out += d.generator()
-        return out
-
-    def generator(self) -> np.ndarray:
-        out = -1j * so.commutator_super(self.hamiltonian)
-        for d in self.dissipators:
-            out += d.generator()
-        return out
-
-    def stationary_state(self) -> np.ndarray:
-        return so.stationary_density(self.generator())
-
-    def fluxes(self, rho: np.ndarray | None = None) -> np.ndarray:
-        if rho is None:
-            rho = self.stationary_state()
-        out = np.empty(self.n_baths)
-        for i in range(self.n_baths):
-            out[i] = -np.trace(so.apply_super(self.bath_piece(i), rho) @ self.k_system).real
-        return out
-
-    def detailed_balance_residuals(self) -> np.ndarray:
-        """Residual of each bath's CP part against Gibbs(K_S, beta_i)."""
-        out = np.empty(self.n_baths)
-        for i in range(self.n_baths):
-            sigma = sla.expm(-self.betas[i] * self.k_system)
-            sigma = sigma / np.trace(sigma)
-            dim = self.dim
-            phi = np.zeros((dim * dim, dim * dim), dtype=complex)
-            for d in self.dissipators:
-                if d.bath == i:
-                    phi += d.phi_heisenberg()
-            out[i] = fock.detailed_balance_residual(phi, sigma)
-        return out
-
-    def scaled(self, mu: float) -> "GenericLindbladModel":
-        """All rates and the Hamiltonian multiplied by mu > 0.
-
-        The stationary state is unchanged and every flux scales by mu exactly.
-        """
-        if mu <= 0:
-            raise MalformedInputError("scale factor must be positive")
-        return GenericLindbladModel(
-            hamiltonian=mu * self.hamiltonian,
-            k_system=self.k_system,
-            betas=self.betas,
-            dissipators=tuple(
-                Dissipator(bath=d.bath, kraus=tuple(np.sqrt(mu) * k for k in d.kraus))
-                for d in self.dissipators
-            ),
-        )
+def _bath_stacks(n_baths: int, dim: int, stacks: dict) -> tuple:
+    """Kraus stacks in bath order from ``{bath: stack}``; unlisted baths get an empty stack."""
+    empty = np.zeros((0, dim, dim), dtype=complex)
+    return tuple(stacks.get(i, empty) for i in range(n_baths))
 
 
-def tensor_models(a: GenericLindbladModel, b: GenericLindbladModel) -> GenericLindbladModel:
+def tensor_models(a: so.LindbladModel, b: so.LindbladModel) -> so.LindbladModel:
     """Independent composition on the tensor product; fluxes add bathwise."""
     if a.betas != b.betas:
         raise MalformedInputError("components must share the same bath temperatures")
-    da, db = a.dim, b.dim
-    ham = np.kron(a.hamiltonian, np.eye(db)) + np.kron(np.eye(da), b.hamiltonian)
-    ks = np.kron(a.k_system, np.eye(db)) + np.kron(np.eye(da), b.k_system)
-    diss = [Dissipator(bath=d.bath, kraus=tuple(np.kron(k, np.eye(db)) for k in d.kraus)) for d in a.dissipators]
-    diss += [Dissipator(bath=d.bath, kraus=tuple(np.kron(np.eye(da), k) for k in d.kraus)) for d in b.dissipators]
-    return GenericLindbladModel(hamiltonian=ham, k_system=ks, betas=a.betas, dissipators=tuple(diss))
+    ia, ib = np.eye(a.dim), np.eye(b.dim)
+    return so.LindbladModel(
+        hamiltonian=np.kron(a.hamiltonian, ib) + np.kron(ia, b.hamiltonian),
+        k_system=np.kron(a.k_system, ib) + np.kron(ia, b.k_system),
+        betas=a.betas,
+        kraus=tuple(np.concatenate([np.kron(ka, ib), np.kron(ia, kb)]) for ka, kb in zip(a.kraus, b.kraus)),
+    )
 
 
-def two_channel_model(sigma1, sigma2, lam1: float, lam2: float, k_system, betas=(0.0, 0.0)) -> GenericLindbladModel:
+def two_channel_model(sigma1, sigma2, lam1: float, lam2: float, k_system, betas=(0.0, 0.0)) -> so.LindbladModel:
     """Two depolarizing channels on the same system, one per bath."""
-    return GenericLindbladModel(
+    return so.LindbladModel(
         hamiltonian=np.zeros_like(np.asarray(k_system, dtype=complex)),
         k_system=np.asarray(k_system, dtype=complex),
         betas=tuple(betas),
-        dissipators=(depolarizing(sigma1, lam1, bath=0), depolarizing(sigma2, lam2, bath=1)),
+        kraus=(depolarizing(sigma1, lam1), depolarizing(sigma2, lam2)),
     )
 
 
@@ -197,7 +112,7 @@ def fridge(
     rates,
     g: float,
     h: float,
-) -> GenericLindbladModel:
+) -> so.LindbladModel:
     """The three-qubit fridge: swap coupling |010><101| + h.c. plus per-qubit baths.
 
     Qubit gaps are (E1, E2, E3) with E2 = E1 + E3 so the swap conserves
@@ -221,18 +136,12 @@ def fridge(
     k_s = sum(e * p for e, p in zip(energies, projectors))
     swap = np.outer(_basis_ket("010"), _basis_ket("101"))
     ham = h * k_s + g * (swap + swap.T)
-    diss = []
     dims = [(1, 4), (2, 2), (4, 1)]
-    for i in range(3):
-        sigma = gibbs_qubit(energies[i], betas[i])
-        dl, dr = dims[i]
-        diss.append(depolarizing(sigma, rates[i], bath=i, dim_left=dl, dim_right=dr))
-    return GenericLindbladModel(
-        hamiltonian=ham, k_system=k_s.astype(complex), betas=betas, dissipators=tuple(diss)
-    )
+    kraus = tuple(depolarizing(gibbs_qubit(energies[i], betas[i]), rates[i], *dims[i]) for i in range(3))
+    return so.LindbladModel(hamiltonian=ham, k_system=k_s.astype(complex), betas=betas, kraus=kraus)
 
 
-def fridge_alpha(model: GenericLindbladModel, energies) -> tuple[float, float]:
+def fridge_alpha(model: so.LindbladModel, energies) -> tuple[float, float]:
     """Proportionality coefficient of the stationary fluxes against (E1,-E2,E3).
 
     Returns (alpha, residual) where residual is the distance of the flux
@@ -262,7 +171,7 @@ class ComposedMachine:
             out += comp.fluxes()
         return out
 
-    def full_model(self) -> GenericLindbladModel:
+    def full_model(self) -> so.LindbladModel:
         model = self.components[0]
         for comp in self.components[1:]:
             model = tensor_models(model, comp)
@@ -276,18 +185,18 @@ class ComposedMachine:
         return d
 
 
-def _idle_qubit(bath: int, betas) -> GenericLindbladModel:
+def _idle_qubit(bath: int, betas) -> so.LindbladModel:
     """A single bath relaxing its own qubit: a valid thermal piece with zero flux."""
     k = np.diag([0.0, 1.0]).astype(complex)
-    return GenericLindbladModel(
+    return so.LindbladModel(
         hamiltonian=np.zeros((2, 2), dtype=complex),
         k_system=k,
         betas=tuple(betas),
-        dissipators=(depolarizing(gibbs_qubit(1.0, betas[bath]), 1.0, bath=bath),),
+        kraus=_bath_stacks(len(betas), 2, {bath: depolarizing(gibbs_qubit(1.0, betas[bath]), 1.0)}),
     )
 
 
-def _pair_machine(i: int, j: int, target: float, betas) -> GenericLindbladModel:
+def _pair_machine(i: int, j: int, target: float, betas) -> so.LindbladModel:
     """Two depolarizing channels on one qubit moving ``target`` into bath i.
 
     Requires (beta_i - beta_j) * target > 0; rates are set in closed form.
@@ -301,18 +210,15 @@ def _pair_machine(i: int, j: int, target: float, betas) -> GenericLindbladModel:
         raise InfeasibleError("pair target incompatible with the temperature ordering")
     mu = target / drive  # lam1 lam2 / (lam1 + lam2)
     lam = 2.0 * mu
-    return GenericLindbladModel(
+    return so.LindbladModel(
         hamiltonian=np.zeros((2, 2), dtype=complex),
         k_system=k.astype(complex),
         betas=tuple(betas),
-        dissipators=(
-            depolarizing(sig_i, lam, bath=i),
-            depolarizing(sig_j, lam, bath=j),
-        ),
+        kraus=_bath_stacks(len(betas), 2, {i: depolarizing(sig_i, lam), j: depolarizing(sig_j, lam)}),
     )
 
 
-def _calibrated_fridge(j_target, bath_indices, betas) -> GenericLindbladModel:
+def _calibrated_fridge(j_target, bath_indices, betas) -> so.LindbladModel:
     """A fridge on three of the baths whose stationary fluxes equal j_target.
 
     j_target must be proportional-compatible: sum zero and positive entropy
@@ -332,15 +238,6 @@ def _calibrated_fridge(j_target, bath_indices, betas) -> GenericLindbladModel:
         g=0.5,
         h=1.0,
     )
-    # remap bath labels from the fridge-local (0,1,2) to the global indices
-    base = GenericLindbladModel(
-        hamiltonian=base.hamiltonian,
-        k_system=base.k_system,
-        betas=tuple(betas),
-        dissipators=tuple(
-            Dissipator(bath=bath_indices[d.bath], kraus=d.kraus) for d in base.dissipators
-        ),
-    )
     alpha, resid = fridge_alpha(base, (e1, e2, e3))
     if abs(alpha) < 1e-12:
         raise InfeasibleError("fridge stalled: zero proportionality coefficient")
@@ -349,7 +246,14 @@ def _calibrated_fridge(j_target, bath_indices, betas) -> GenericLindbladModel:
     mu = scale / alpha
     if mu <= 0:
         raise InfeasibleError("fridge drives the targeted fluxes backwards")
-    return base.scaled(mu)
+    fitted = base.scaled(mu)
+    # remap bath labels from the fridge-local (0,1,2) to the global indices
+    return so.LindbladModel(
+        hamiltonian=fitted.hamiltonian,
+        k_system=fitted.k_system,
+        betas=tuple(betas),
+        kraus=_bath_stacks(len(betas), fitted.dim, dict(zip(bath_indices, fitted.kraus))),
+    )
 
 
 def synthesize(j_target, betas, tol: float = 1e-9) -> ComposedMachine:

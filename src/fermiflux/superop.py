@@ -1,4 +1,5 @@
-"""Dense superoperator plumbing shared by the Fock oracle and the machine models.
+"""Dense superoperators and the Lindblad model shared by the Fock oracle, the
+qubit machines and the jump sampler.
 
 Operators are vectorized row-major (numpy ``reshape(-1)``), so that for the
 matrix S of a superoperator acting on vec(rho):
@@ -11,7 +12,12 @@ hence the adjoint superoperator is the conjugate transpose of S.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+import scipy.linalg as sla
+
+from .errors import MalformedInputError
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -33,7 +39,7 @@ def left_mul(a: np.ndarray) -> np.ndarray:
 def right_mul(b: np.ndarray) -> np.ndarray:
     """Superoperator rho -> rho b."""
     d = b.shape[0]
-    return np.kron(np.eye(d), b.T)
+    return np.kron(np.eye(d), np.ascontiguousarray(b.T))  # same entries; kron of a strided b.T is ~5x slower
 
 
 def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,11 +59,6 @@ def kraus_map(ks) -> np.ndarray:
 def kraus_rate(ks) -> np.ndarray:
     """The rate operator sum_k K_k^dagger K_k, the Heisenberg image of 1."""
     return np.einsum("kab,kac->bc", np.conj(ks), ks)
-
-
-def dissipator(ks) -> np.ndarray:
-    """Schroedinger dissipator rho -> sum_k K_k rho K_k^dagger - (1/2){sum_k K_k^dagger K_k, rho}."""
-    return kraus_map(ks) - 0.5 * anticommutator_super(kraus_rate(ks))
 
 
 def commutator_super(h: np.ndarray) -> np.ndarray:
@@ -105,12 +106,126 @@ def dominant_eigenpair(s: np.ndarray):
     return w[lead], v[:, lead], gap
 
 
-def stationary_density(s: np.ndarray) -> np.ndarray:
-    """Trace-one stationary density of a Schroedinger-picture generator matrix."""
-    lam, v, _ = dominant_eigenpair(s)
+def density_of(v: np.ndarray) -> np.ndarray:
+    """An eigenvector as a Hermitian matrix, of unit trace unless it is traceless.
+
+    The eigenvector's arbitrary phase is rotated away before the Hermitian part
+    is taken; a traceless eigenvector is only made Hermitian.
+    """
     rho = unvec(v)
     tr = np.trace(rho)
-    if abs(tr) > 0:
-        rho = rho * (np.conj(tr) / abs(tr))  # cancel the eigenvector's phase
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    if abs(tr) > 1e-12:
+        rho = rho * (np.conj(tr) / abs(tr))
+        rho = 0.5 * (rho + rho.conj().T)
+        return rho / np.trace(rho).real
+    return 0.5 * (rho + rho.conj().T)
+
+
+def stationary_density(s: np.ndarray) -> np.ndarray:
+    """Trace-one stationary density of a Schroedinger-picture generator matrix."""
+    return density_of(dominant_eigenpair(s)[1])
+
+
+def detailed_balance_residual(phi_h: np.ndarray, sigma: np.ndarray) -> float:
+    """max_A || Phi^*(A sigma) - Phi(A) sigma ||_2 over a matrix-unit basis.
+
+    ``phi_h`` is the Heisenberg-picture superoperator of the completely
+    positive part; sigma must be a faithful state.  This is the condition
+    Phi^*(A sigma) sigma^{-1} = Phi(A) multiplied on the right by sigma, so
+    no inverse of sigma, and none of its condition number, enters.
+    """
+    sigma = np.asarray(sigma, dtype=complex)
+    w = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
+    if w.min() <= 0:
+        raise MalformedInputError("detailed balance requires a faithful (positive) sigma")
+    dim = sigma.shape[0]
+    phi_s = adjoint_super(phi_h)
+    worst = 0.0
+    unit = np.zeros((dim, dim), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            unit[a, b] = 1.0
+            lhs = unvec(phi_s @ vec(unit @ sigma))
+            rhs = unvec(phi_h @ vec(unit)) @ sigma
+            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+            unit[a, b] = 0.0
+    return worst
+
+
+@dataclass(frozen=True, eq=False)
+class LindbladModel:
+    """A Hamiltonian, one Kraus stack per bath, the conserved observable K_S and the temperatures.
+
+    ``kraus[i]`` is bath i's (k, d, d) stack of Kraus operators, possibly
+    empty.  Bath i contributes rho -> sum_k K_k rho K_k^dagger - (1/2){R_i, rho}
+    with the rate operator R_i = sum_k K_k^dagger K_k, and the energy it takes
+    from the system is the flux J_i = -tr(L_i^*(rho) K_S).
+    """
+
+    hamiltonian: np.ndarray
+    k_system: np.ndarray
+    betas: tuple
+    kraus: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.shape[0]
+
+    @property
+    def n_baths(self) -> int:
+        return len(self.betas)
+
+    def bath_piece(self, i: int, scale=None) -> np.ndarray:
+        """Schroedinger piece of bath i; ``scale`` (one factor per Kraus operator) tilts the jumps only."""
+        ks = self.kraus[i]
+        piece = kraus_map(ks if scale is None else scale[:, None, None] * ks)
+        piece -= anticommutator_super(0.5 * kraus_rate(ks))
+        return piece
+
+    def generator(self, scales=None) -> np.ndarray:
+        """-i[H, rho] + the bath pieces in bath order; ``scales[i]`` tilts bath i's jumps."""
+        out = -1j * commutator_super(self.hamiltonian)
+        for i in range(self.n_baths):
+            out += self.bath_piece(i, None if scales is None else scales[i])
+        return out
+
+    def no_jump(self) -> np.ndarray:
+        """G = -i H - (1/2) sum_i R_i, so that the generator is G rho + rho G^dagger + the jumps."""
+        g = -1j * self.hamiltonian
+        for ks in self.kraus:
+            g -= 0.5 * kraus_rate(ks)
+        return g
+
+    def phi_heisenberg(self, i: int) -> np.ndarray:
+        """Heisenberg map A -> sum_k K_k^dagger A K_k of bath i, the completely positive part."""
+        return kraus_map(self.kraus[i].conj().transpose(0, 2, 1))
+
+    def stationary_state(self) -> np.ndarray:
+        return stationary_density(self.generator())
+
+    def fluxes(self, rho: np.ndarray | None = None) -> np.ndarray:
+        """J_i = -tr(L_i^*(rho) K_S), one entry per bath; rho defaults to the stationary state."""
+        if rho is None:
+            rho = self.stationary_state()
+        return np.array(
+            [-np.trace(apply_super(self.bath_piece(i), rho) @ self.k_system).real for i in range(self.n_baths)]
+        )
+
+    def detailed_balance_residuals(self) -> np.ndarray:
+        """Residual of each bath's completely positive part against Gibbs(K_S, beta_i)."""
+        out = np.empty(self.n_baths)
+        for i, beta in enumerate(self.betas):
+            sigma = sla.expm(-beta * self.k_system)
+            out[i] = detailed_balance_residual(self.phi_heisenberg(i), sigma / np.trace(sigma))
+        return out
+
+    def scaled(self, mu: float) -> "LindbladModel":
+        """All rates and the Hamiltonian multiplied by mu > 0.
+
+        The stationary state is unchanged and every flux scales by mu exactly.
+        """
+        if mu <= 0:
+            raise MalformedInputError("scale factor must be positive")
+        return LindbladModel(
+            mu * self.hamiltonian, self.k_system, self.betas, tuple(np.sqrt(mu) * ks for ks in self.kraus)
+        )

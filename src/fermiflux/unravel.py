@@ -2,10 +2,11 @@
 
 Trajectories are sampled exactly (no time-step discretization): between jumps
 the unnormalized conditional state evolves as h(t) = e^{tG} h e^{tG*} with
-G = -i H_S - (1/2) Phi(1), the next jump time solves survival(t) = u for a
-uniform u through safeguarded bisection, and the jump channel (bath i, energy
-quantum delta) is drawn proportionally to tr(R h): one contraction of h with
-the stacked rate operators R = sum_K K^dagger K gives every channel weight.
+G = -i H_S - (1/2) Phi(1) (``LindbladModel.no_jump``), the next jump time
+solves survival(t) = u for a uniform u through safeguarded bisection, and the
+jump channel (bath i, energy quantum delta) is drawn proportionally to
+tr(R h): one contraction of h with the stacked rate operators
+R = sum_K K^dagger K gives every channel weight.
 
 A channel is a list of Kraus operators, the J_c = sqrt(n_c/2) sum_k conj(t_kc)
 gamma_k of the eigenmodes c of kappa_i with energy w_c = delta
@@ -136,7 +137,6 @@ class TrajectoryRecord:
     horizon: float
     jumps: tuple  # ((t, bath, delta), ...)
     totals: np.ndarray  # energy delivered to each bath
-    log_weight: float
 
     @property
     def n_jumps(self) -> int:
@@ -201,14 +201,6 @@ class _SurvivalSolver:
         return t
 
 
-def no_jump_generator(model: ThermalQuasiFreeModel) -> np.ndarray:
-    """G = -i H_S - (1/2) sum J^dagger J on the system Fock space, over every bath eigenmode."""
-    g = -1j * fock.system_hamiltonian(model)
-    for i in range(model.n_baths):
-        g -= 0.5 * so.kraus_rate(fock.jump_operators(model, i)[1])
-    return g
-
-
 @dataclass
 class _SimContext:
     solver: _SurvivalSolver
@@ -223,7 +215,7 @@ class _SimContext:
 def _make_context(model: ThermalQuasiFreeModel, channels=None) -> _SimContext:
     if channels is None:
         channels = extract_channels(model, cross_check=False)
-    g = no_jump_generator(model)
+    g = fock.lindblad_model(model).no_jump()
     rates = np.array([so.kraus_rate(ch.kraus) for ch in channels])
     return _SimContext(solver=_SurvivalSolver(g), channels=channels, rates=rates)
 
@@ -236,8 +228,8 @@ def simulate(
     _context: _SimContext | None = None,
 ) -> TrajectoryRecord:
     """Sample one trajectory of the jump process up to time ``horizon``."""
-    if horizon <= 0:
-        raise MalformedInputError("horizon must be positive")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise MalformedInputError("horizon must be finite and positive")
     ctx = _context if _context is not None else _make_context(model)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     solver = ctx.solver
@@ -248,36 +240,28 @@ def simulate(
     t_now = 0.0
     jumps = []
     totals = np.zeros(model.n_baths)
-    log_weight = 0.0
     n_channels = len(ctx.channels)
     if n_channels == 0:
-        return TrajectoryRecord(seed=seed, horizon=horizon, jumps=(), totals=totals, log_weight=0.0)
+        return TrajectoryRecord(seed=seed, horizon=horizon, jumps=(), totals=totals)
     while True:
         coef = solver.coefficients(h)
         u = rng.random()
         dt = solver.invert(coef, u, horizon - t_now)
         if dt is None:
-            # survived to the horizon; close the weight with the last segment
-            log_weight += np.log(max(solver.value(coef, horizon - t_now), 1e-300))
-            break
+            break  # survived to the horizon
         t_now += dt
         h = solver.evolve(h, dt)  # unnormalized, trace u
         weights = ctx.weights(h)
         total = weights.sum()
         if total <= 0.0:
-            log_weight += np.log(max(u, 1e-300))
             break  # dark state: no channel can fire
         k = int(rng.choice(n_channels, p=weights / total))
         ch = ctx.channels[k]
         h = ch.apply(h)
-        norm = np.trace(h).real
-        log_weight += np.log(norm)  # telescopes to tr(Psi_T^*(rho0)) with the final survival
-        h = h / norm
+        h = h / np.trace(h).real
         jumps.append((t_now, ch.bath, ch.delta))
         totals[ch.bath] += ch.delta
-    return TrajectoryRecord(
-        seed=seed, horizon=horizon, jumps=tuple(jumps), totals=totals, log_weight=log_weight
-    )
+    return TrajectoryRecord(seed=seed, horizon=horizon, jumps=tuple(jumps), totals=totals)
 
 
 def simulate_batch(

@@ -96,6 +96,15 @@ class TestFlux:
             ["rate", "--chain-L", "3-2"],
             ["e-alpha", "--chain-L", "2", "--alpha=a,b"],
             ["machine", "--synthesize", "1,-1"],
+            ["rate", "--chain-L", "2", "--points", "-1"],
+            ["rate", "--chain-L", "2", "--alpha-max", "-1"],
+            ["rate", "--chain-L", "2", "--zeta-min", "nan"],
+            ["mc", "--chain-L", "2", "--trajectories", "2", "--T", "nan"],
+            ["mc", "--chain-L", "2", "--trajectories", "2", "--T", "inf"],
+            ["mc", "--chain-L", "2", "--trajectories", "2", "--T", "-1"],
+            ["flux", "--chain-L", "2", "--beta0", "nan"],
+            ["flux", "--chain-L", "2", "--tol", "nan"],
+            ["e-alpha", "--chain-L", "2", "--alpha", "nan,0"],
         ],
     )
     def test_bad_input_usage_error(self, args, capsys):

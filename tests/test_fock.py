@@ -227,6 +227,22 @@ class TestJumpOperators:
             assert err < 1e-12
 
 
+class TestLindbladModel:
+    @pytest.mark.parametrize("idx", [0, 1, 3], ids=["chain2", "spectral", "tr_broken"])
+    def test_no_jump_plus_jumps_is_generator(self, idx):
+        # the sampler's no-jump evolution G rho + rho G^dagger and its jumps add up to the Lindbladian
+        lm = fock.lindblad_model(_kernel_route_models()[idx])
+        g = lm.no_jump()
+        rebuilt = so.left_mul(g) + so.right_mul(g.conj().T) + sum(so.kraus_map(ks) for ks in lm.kraus)
+        assert np.max(np.abs(lm.generator() - rebuilt)) < 1e-12
+
+    @pytest.mark.parametrize("idx", [1, 3], ids=["spectral", "tr_broken"])
+    def test_deformed_at_zero_is_lindbladian(self, idx):
+        # chain2 is TestDeformed.test_zero_alpha_exact
+        model = _kernel_route_models()[idx]
+        assert np.array_equal(fock.build_deformed(model, np.zeros(model.n_baths)), fock.build_lindbladian(model))
+
+
 class TestDeformed:
     def test_zero_alpha_exact(self, chain2):
         gen = fock.build_lindbladian(chain2)
@@ -308,12 +324,12 @@ class TestDetailedBalance:
             sigma = fock.quasi_free_state(
                 chain2.gibbs_system_covariance(chain2.baths[i].beta)
             ).density
-            resid = fock.detailed_balance_residual(fock.phi_heisenberg(chain2, i), sigma)
+            resid = so.detailed_balance_residual(fock.lindblad_model(chain2).phi_heisenberg(i), sigma)
             assert resid < 1e-10
 
     def test_wrong_state_fails(self, chain2):
         sigma = fock.quasi_free_state(chain2.gibbs_system_covariance(0.123)).density
-        resid = fock.detailed_balance_residual(fock.phi_heisenberg(chain2, 0), sigma)
+        resid = so.detailed_balance_residual(fock.lindblad_model(chain2).phi_heisenberg(0), sigma)
         assert resid > 1e-3
 
     def test_random_models(self):
@@ -325,7 +341,7 @@ class TestDetailedBalance:
                 sigma = fock.quasi_free_state(
                     model.gibbs_system_covariance(model.baths[i].beta)
                 ).density
-                resid = fock.detailed_balance_residual(fock.phi_heisenberg(model, i), sigma)
+                resid = so.detailed_balance_residual(fock.lindblad_model(model).phi_heisenberg(i), sigma)
                 assert resid < 1e-10
 
     def test_perturbed_coupling_fails(self, chain2):
@@ -335,7 +351,7 @@ class TestDetailedBalance:
         bath = thermal.BathSpec(b0.beta, b0.kappa, ps.CouplingMatrix(theta, ps.Basis.MAJORANA))
         model = thermal.ThermalQuasiFreeModel(chain2.t_s, chain2.kappa_s, (bath,) + chain2.baths[1:])
         sigma = fock.quasi_free_state(model.gibbs_system_covariance(b0.beta)).density
-        assert fock.detailed_balance_residual(fock.phi_heisenberg(model, 0), sigma) > 1e-10
+        assert so.detailed_balance_residual(fock.lindblad_model(model).phi_heisenberg(0), sigma) > 1e-10
 
 
 class TestEntropyBalance:

@@ -7,12 +7,17 @@ from fermiflux import superop as so
 from fermiflux.errors import InfeasibleError, MalformedInputError
 
 
+def depolarizing_model(sigma, rate):
+    """One bath relaxing a qubit toward sigma, with no Hamiltonian."""
+    zero = np.zeros((2, 2), dtype=complex)
+    return so.LindbladModel(zero, zero, (0.0,), (machines.depolarizing(sigma, rate),))
+
+
 class TestDepolarizing:
     def test_explicit_semigroup(self, rng):
         sigma = machines.gibbs_qubit(1.0, 0.8)
         lam = 0.6
-        d = machines.depolarizing(sigma, lam)
-        gen = d.generator()
+        gen = depolarizing_model(sigma, lam).generator()
         rho0 = np.array([[0.2, 0.1j], [-0.1j, 0.8]])
         for t in (0.3, 1.7):
             rho_t = so.apply_super(sla.expm(t * gen), rho0)
@@ -21,28 +26,26 @@ class TestDepolarizing:
 
     def test_spectrum(self):
         sigma = machines.gibbs_qubit(1.0, 0.5)
-        gen = machines.depolarizing(sigma, 0.9).generator()
+        gen = depolarizing_model(sigma, 0.9).generator()
         w = np.sort(np.linalg.eigvals(gen).real)
         assert abs(w[-1]) < 1e-12
         assert np.max(np.abs(w[:-1] + 0.9)) < 1e-12
 
     def test_stationary_state(self):
         sigma = machines.gibbs_qubit(2.0, 1.3)
-        gen = machines.depolarizing(sigma, 1.0).generator()
+        gen = depolarizing_model(sigma, 1.0).generator()
         rho = so.stationary_density(gen)
         assert np.max(np.abs(rho - sigma)) < 1e-12
 
     def test_unital_for_maximally_mixed(self):
-        gen = machines.depolarizing(0.5 * np.eye(2), 1.0).generator()
+        gen = depolarizing_model(0.5 * np.eye(2), 1.0).generator()
         assert np.max(np.abs(so.apply_super(gen, np.eye(2)))) < 1e-12
 
     def test_exact_detailed_balance(self):
         # the channel is self-adjoint for the sigma-weighted inner product
-        from fermiflux import fock
-
         sigma = machines.gibbs_qubit(1.0, 0.7)
-        d = machines.depolarizing(sigma, 1.0)
-        assert fock.detailed_balance_residual(d.phi_heisenberg(), sigma) < 1e-12
+        phi = depolarizing_model(sigma, 1.0).phi_heisenberg(0)
+        assert so.detailed_balance_residual(phi, sigma) < 1e-12
 
     def test_invalid_inputs(self):
         with pytest.raises(MalformedInputError):
@@ -206,6 +209,15 @@ class TestSynthesize:
                 j = -j
             machine = machines.synthesize(j, betas)
             assert np.max(np.abs(machine.fluxes() - j)) < 1e-6
+
+    def test_any_temperature_order_and_four_baths(self):
+        # each fridge is calibrated on its own three baths, then relabelled to the global ones
+        for target, betas in (
+            ([2.0, -3.0, 1.0], (3.0, 2.0, 1.0)),
+            ([1.0, -3.0, 1.0, 1.0], (4.0, 2.0, 3.0, 1.0)),
+        ):
+            machine = machines.synthesize(target, betas)
+            assert np.max(np.abs(machine.fluxes() - target)) < 1e-6
 
     def test_zero_vector_rejected(self):
         with pytest.raises(InfeasibleError):

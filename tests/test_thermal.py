@@ -52,7 +52,7 @@ class TestFluxes:
             m = dynamics.stationary_covariance(model)
             rho = fock.quasi_free_state(m).density
             j_ps = thermal.fluxes(model, m)
-            j_fock = fock.bath_flux(model, rho)
+            j_fock = fock.lindblad_model(model).fluxes(rho)
             assert np.max(np.abs(j_ps - j_fock)) < 1e-8
 
     @pytest.mark.parametrize(

@@ -98,13 +98,18 @@ class TestSimulate:
         rec = unravel.simulate(closed, rho0, 10.0, seed=1)
         assert rec.n_jumps == 0
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+    def test_horizon_must_be_finite_positive(self, chain2_setup, horizon):
+        model, rho0, ctx = chain2_setup
+        with pytest.raises(MalformedInputError):
+            unravel.simulate(model, rho0, horizon, seed=0, _context=ctx)
+
     def test_seeded_determinism(self, chain2_setup):
         model, rho0, ctx = chain2_setup
         r1 = unravel.simulate(model, rho0, 25.0, seed=99, _context=ctx)
         r2 = unravel.simulate(model, rho0, 25.0, seed=99, _context=ctx)
         assert r1.jumps == r2.jumps
         assert np.array_equal(r1.totals, r2.totals)
-        assert r1.log_weight == r2.log_weight
 
     def test_jump_times_ordered(self, chain2_setup):
         model, rho0, ctx = chain2_setup
@@ -186,7 +191,7 @@ class TestWaitingTimes:
         model = ThermalQuasiFreeModel(t_s=model.t_s, kappa_s=model.kappa_s, baths=model.baths[:1])
         ctx = unravel._make_context(model)
         rho0 = fock.quasi_free_state(dynamics.stationary_covariance(model)).density
-        phi_one = so.unvec(fock.phi_heisenberg(model) @ so.vec(np.eye(2)))
+        phi_one = so.unvec(fock.lindblad_model(model).phi_heisenberg(0) @ so.vec(np.eye(2)))
         waits = {0: [], 1: []}
         for s in range(400):
             rec = unravel.simulate(model, rho0, 200.0, seed=s, _context=ctx)
