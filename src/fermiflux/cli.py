@@ -45,8 +45,7 @@ def _setup_logging():
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(message)s")
 
 
-def _add_model_args(p: argparse.ArgumentParser, chain_range: bool = False):
-    p.add_argument("--model", help="path to a JSON model file")
+def _add_chain_args(p: argparse.ArgumentParser, chain_range: bool):
     p.add_argument(
         "--chain-L",
         dest="chain_l",
@@ -56,8 +55,12 @@ def _add_model_args(p: argparse.ArgumentParser, chain_range: bool = False):
     p.add_argument("--thetaL", type=float, default=1.0)
     p.add_argument("--beta0", type=float, default=1.0)
     p.add_argument("--betaL", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-10, help="structural validation tolerance")
     p.add_argument("--out", help="output file (default: stdout)")
+
+
+def _add_model_args(p: argparse.ArgumentParser, chain_range: bool):
+    p.add_argument("--model", help="path to a JSON model file")
+    _add_chain_args(p, chain_range)
 
 
 def _parse_chain_lengths(arg: str):
@@ -95,11 +98,21 @@ def _chain_spec(args, length: int) -> chain.ChainSpec:
         raise UsageError(f"--chain-L: {exc}") from None
 
 
+def _check_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1")
+
+
+def _check_seed(seed: int, count: int) -> None:
+    """Philox keys are uint64: the seeds seed, ..., seed + count - 1 must all fit."""
+    if not 0 <= seed <= 2**64 - count:
+        raise UsageError(f"--seed must be an integer from 0 to {2**64 - count}, got {seed}")
+
+
 def _load_model(args):
     sources = sum(x is not None for x in (args.model, args.chain_l))
     if sources != 1:
         raise UsageError("exactly one model source required: --model or --chain-L")
-    _positive("--tol", args.tol)
     if args.model is not None:
         return thermal.load_model(args.model), {"source": args.model}
     lengths = _parse_chain_lengths(args.chain_l)
@@ -112,6 +125,14 @@ class UsageError(Exception):
     pass
 
 
+def _load_validated(args):
+    """The model of ``_load_model``, checked against the structural tolerance --tol."""
+    _positive("--tol", args.tol)
+    model, _ = _load_model(args)
+    thermal.validate(model, tol=args.tol)
+    return model
+
+
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -120,7 +141,7 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _header(model=None, **extra) -> str:
+def _header(model, **extra) -> str:
     out = io.StringIO()
     out.write(f"# fermiflux: {__version__}\n")
     if model is not None:
@@ -136,6 +157,7 @@ def _header(model=None, **extra) -> str:
 
 
 def cmd_validate(args) -> int:
+    _positive("--tol", args.tol)
     model, _ = _load_model(args)
     report = thermal.residual_report(model)
     out = io.StringIO()
@@ -150,8 +172,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_flux(args) -> int:
-    model, _ = _load_model(args)
-    thermal.validate(model, tol=args.tol)
+    model = _load_validated(args)
     out = io.StringIO()
     out.write(_header(model, tolerance=args.tol))
     out.write("bath,beta,J\n")
@@ -181,8 +202,7 @@ def _parse_alpha(text: str) -> np.ndarray:
 
 
 def cmd_e_alpha(args) -> int:
-    model, _ = _load_model(args)
-    thermal.validate(model, tol=args.tol)
+    model = _load_validated(args)
     dynamics.require_ergodic(model)
     out = io.StringIO()
     out.write(_header(model))
@@ -211,8 +231,7 @@ def rate_table(lengths, zetas, curves) -> str:
 
 
 def cmd_rate(args) -> int:
-    if args.points < 1:
-        raise UsageError("--points must be >= 1")
+    _check_count("--points", args.points)
     _finite("--zeta-min", args.zeta_min)
     _finite("--zeta-max", args.zeta_max)
     _positive("--alpha-max", args.alpha_max)
@@ -221,8 +240,7 @@ def cmd_rate(args) -> int:
     if args.chain_l is not None:
         lengths = _parse_chain_lengths(args.chain_l)
     if args.model is not None or (lengths is not None and len(lengths) == 1):
-        model, _ = _load_model(args)
-        thermal.validate(model, tol=args.tol)
+        model = _load_validated(args)
         dynamics.require_ergodic(model)
         curve = deviations.rate_function(
             model,
@@ -249,7 +267,7 @@ def cmd_rate(args) -> int:
     return EXIT_NONCONVERGED if bad else EXIT_OK
 
 
-def _oracle_checks(model, n_alpha, seed, tol_e=1e-8, tol_cov=1e-7):
+def _oracle_checks(model, n_alpha, seed):
     """The fock-vs-phase-space equivalence suite; yields (name, residual, tolerance)."""
     report = thermal.residual_report(model)
     yield "model_structure", max(report.values()), 1e-10
@@ -277,8 +295,8 @@ def _oracle_checks(model, n_alpha, seed, tol_e=1e-8, tol_cov=1e-7):
         worst_cov = max(
             worst_cov, float(np.max(np.abs(fock.covariance_of(rho_a).maj - spec.covariance.maj)))
         )
-    yield "deformed_eigenvalue", worst_e, tol_e
-    yield "deformed_covariance", worst_cov, tol_cov
+    yield "deformed_eigenvalue", worst_e, 1e-8
+    yield "deformed_covariance", worst_cov, 1e-7
     e0 = deviations.e_alpha(model, np.zeros(model.n_baths))
     yield "e_at_zero", abs(e0), 1e-9
     e_gc = deviations.e_alpha(model, -model.betas)
@@ -286,6 +304,8 @@ def _oracle_checks(model, n_alpha, seed, tol_e=1e-8, tol_cov=1e-7):
 
 
 def cmd_oracle(args) -> int:
+    _check_count("--alpha-samples", args.alpha_samples)
+    _check_seed(args.seed, 1)
     model, _ = _load_model(args)
     dynamics.require_ergodic(model)
     out = io.StringIO()
@@ -307,11 +327,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    if args.trajectories < 1:
-        raise UsageError("--trajectories must be >= 1")
+    _check_count("--trajectories", args.trajectories)
+    _check_seed(args.seed, args.trajectories)
     _positive("--T", args.T)
-    model, _ = _load_model(args)
-    thermal.validate(model, tol=args.tol)
+    model = _load_validated(args)
     m_inf = dynamics.stationary_covariance(model)
     rho0 = fock.quasi_free_state(m_inf).density
     records = unravel.simulate_batch(model, rho0, args.T, args.trajectories, base_seed=args.seed)
@@ -331,6 +350,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_machine(args) -> int:
+    _check_count("--sweep", args.sweep)
+    _check_seed(args.seed, 1)
     out = io.StringIO()
     out.write(_header(None, seed=args.seed))
     if args.synthesize:
@@ -399,15 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check model invariants")
-    _add_model_args(sp)
+    _add_model_args(sp, False)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("flux", help="stationary energy fluxes")
-    _add_model_args(sp)
+    _add_model_args(sp, False)
     sp.set_defaults(func=cmd_flux)
 
     sp = sub.add_parser("e-alpha", help="cumulant generating function at given alpha")
-    _add_model_args(sp)
+    _add_model_args(sp, False)
     sp.add_argument(
         "--alpha",
         action="append",
@@ -417,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_e_alpha)
 
     sp = sub.add_parser("rate", help="rate function on a flux grid (two-bath models)")
-    _add_model_args(sp, chain_range=True)
+    _add_model_args(sp, True)
     sp.add_argument("--zeta-min", type=float, default=-0.1)
     sp.add_argument("--zeta-max", type=float, default=0.3)
     sp.add_argument("--points", type=int, default=200)
@@ -425,13 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_rate)
 
     sp = sub.add_parser("oracle", help="fock-vs-phase-space equivalence suite")
-    _add_model_args(sp)
+    _add_model_args(sp, False)
     sp.add_argument("--alpha-samples", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("mc", help="jump Monte Carlo against the stationary fluxes")
-    _add_model_args(sp)
+    _add_model_args(sp, False)
     sp.add_argument("--trajectories", type=int, required=True)
     sp.add_argument("--T", type=float, default=50.0)
     sp.add_argument("--seed", type=int, default=0)
@@ -447,8 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_machine)
 
     sp = sub.add_parser("chain-sweep", help="closed forms vs Lyapunov across lengths")
-    _add_model_args(sp, chain_range=True)
+    _add_chain_args(sp, True)
     sp.set_defaults(func=cmd_chain_sweep)
+
+    for name in ("validate", "flux", "e-alpha", "rate", "mc"):  # the commands that validate the model
+        sub.choices[name].add_argument("--tol", type=float, default=1e-10, help="structural validation tolerance")
 
     return p
 
@@ -462,7 +486,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:  # OSError: a --model, --out or --jump-log path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MalformedInputError, ValidationError, InfeasibleError) as exc:

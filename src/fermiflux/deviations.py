@@ -52,7 +52,7 @@ import io
 import logging
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -71,6 +71,8 @@ from .thermal import ThermalQuasiFreeModel
 
 SPLIT_TOL = 1e-8
 ALPHA_MAX = 50.0
+# golden-section bracket width of the rate-function maximization, stamped in the rate CSV
+XTOL = 1e-10
 # failures of the spectral evaluation itself, reported as non-convergence
 NUMERIC_ERRORS = (DegenerateSpectrumError, NumericDegeneracyError, InternalConsistencyError)
 
@@ -176,12 +178,12 @@ def z_matrix(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     return z
 
 
-def _split_spectrum(lam: np.ndarray, split_tol: float) -> np.ndarray:
+def _split_spectrum(lam: np.ndarray) -> np.ndarray:
     """The eigenvalues of positive real part, which must be exactly half of ``lam``."""
-    near = np.abs(lam.real) < split_tol
+    near = np.abs(lam.real) < SPLIT_TOL
     if np.any(near):
         raise DegenerateSpectrumError(
-            f"{int(near.sum())} eigenvalue(s) within {split_tol:.1e} of the imaginary axis"
+            f"{int(near.sum())} eigenvalue(s) within {SPLIT_TOL:.1e} of the imaginary axis"
         )
     plus = lam[lam.real > 0]
     if 2 * len(plus) != len(lam):
@@ -191,29 +193,28 @@ def _split_spectrum(lam: np.ndarray, split_tol: float) -> np.ndarray:
     return plus
 
 
-def e_alpha(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TOL, imag_tol: float = 1e-8) -> float:
+def e_alpha(model: ThermalQuasiFreeModel, alpha) -> float:
     """Cumulant generating function by the half-spectrum sum over the blocks of Z."""
     alpha = _check_alpha(model, alpha)
     blocks = _factors(model)
     lam = np.concatenate([np.linalg.eigvals(b.z(alpha - b.shift(alpha))) for b in blocks])
-    plus = _split_spectrum(lam, split_tol)
+    plus = _split_spectrum(lam)
     val = 0.5 * plus.sum() - 0.25 * sum(b.trace for b in blocks)
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > 1e-8:
         raise InternalConsistencyError(f"e(alpha) has imaginary part {val.imag:.3e}")
     return float(val.real)
 
 
 @dataclass(frozen=True, eq=False)
 class DeformedSpectrum:
-    """Spectral data of the deformed problem, with the optional Riccati solution."""
+    """Dominant eigenvalue e(alpha) of the deformed problem and its Riccati solution."""
 
-    eigenvalues: np.ndarray
     e_value: float
-    x_max: np.ndarray | None = None
-    covariance: PhaseSpaceMatrix | None = None
+    x_max: np.ndarray
+    covariance: PhaseSpaceMatrix
 
 
-def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TOL) -> DeformedSpectrum:
+def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
     """Maximal solution of X A + A* X + X B(alpha) X - B(-alpha,-beta) = 0.
 
     Solved block by block from the ordered Schur form of each Z_w(alpha):
@@ -242,7 +243,7 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TO
         trace += np.trace(z[:m, :m] + xw @ z[:m, m:]).real
         x += np.exp(-c * b.w) * (b.u @ xw @ b.u.conj().T)
     lam = np.concatenate(lam)
-    plus = _split_spectrum(lam, split_tol)
+    plus = _split_spectrum(lam)
     x = 0.5 * (x + x.conj().T)
     cov = np.linalg.inv(np.eye(n) + x)
     cov = 0.5 * (cov + cov.conj().T)
@@ -253,7 +254,7 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha, split_tol: float = SPLIT_TO
         raise InternalConsistencyError(
             f"trace formula {e_trace:.6e} disagrees with half-spectrum sum {e_spec:.6e}"
         )
-    return DeformedSpectrum(lam, float(e_spec), x_max=x, covariance=PhaseSpaceMatrix(cov, Basis.MAJORANA))
+    return DeformedSpectrum(float(e_spec), x_max=x, covariance=PhaseSpaceMatrix(cov, Basis.MAJORANA))
 
 
 def riccati_residual(model: ThermalQuasiFreeModel, alpha, x: np.ndarray) -> float:
@@ -264,11 +265,11 @@ def riccati_residual(model: ThermalQuasiFreeModel, alpha, x: np.ndarray) -> floa
     return float(np.linalg.norm(r, 2))
 
 
-def e_two_bath(model: ThermalQuasiFreeModel, a: float, **kw) -> float:
+def e_two_bath(model: ThermalQuasiFreeModel, a: float) -> float:
     """Reduced scalar CGF e((a, 0)) for two-bath models; e(a1,a2) = e(a1-a2, 0)."""
     if model.n_baths != 2:
         raise UnsupportedModelError("the scalar reduction needs exactly two baths")
-    return e_alpha(model, np.array([a, 0.0]), **kw)
+    return e_alpha(model, np.array([a, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +290,7 @@ class RateCurve:
     """Sampled rate function with the metadata needed to reproduce it."""
 
     points: list
-    metadata: dict = field(default_factory=dict)
+    metadata: dict
 
     @property
     def zetas(self) -> np.ndarray:
@@ -312,13 +313,13 @@ class RateCurve:
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo, hi, xtol):
-    """Golden-section maximization of a concave function inside a bracket."""
+def _golden_max(f, lo, hi):
+    """Golden-section maximization of a concave function inside a bracket, to width XTOL."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
+    while b - a > XTOL:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -331,7 +332,7 @@ def _golden_max(f, lo, hi, xtol):
     return x, f(x)
 
 
-def _maximize_concave(f, start, alpha_max, xtol):
+def _maximize_concave(f, start, alpha_max):
     """Expanding bracket around ``start`` followed by golden-section refinement.
 
     Returns ``(x*, f(x*), converged)``; converged is False when the walk hits
@@ -345,7 +346,7 @@ def _maximize_concave(f, start, alpha_max, xtol):
         hi = min(x0 + step, alpha_max)
         flo, fhi = f(lo), f(hi)
         if f0 >= flo and f0 >= fhi:
-            x, fx = _golden_max(f, lo, hi, xtol)
+            x, fx = _golden_max(f, lo, hi)
             if fx < f0:
                 x, fx = x0, f0
             return x, fx, True
@@ -364,7 +365,6 @@ def rate_function(
     model: ThermalQuasiFreeModel,
     zeta_grid,
     alpha_max: float = ALPHA_MAX,
-    xtol: float = 1e-10,
     metadata: dict | None = None,
 ) -> RateCurve:
     """Legendre transform I(zeta) = sup_a (a zeta - e((a,0))) on a grid.
@@ -393,7 +393,7 @@ def rate_function(
             return a * _z - e_of(a)
 
         try:
-            astar, val, converged = _maximize_concave(obj, warm, alpha_max, xtol)
+            astar, val, converged = _maximize_concave(obj, warm, alpha_max)
         except NUMERIC_ERRORS:
             points.append(RatePoint(zeta=float(zeta), rate=np.inf, alpha_star=np.nan, converged=False))
             continue
@@ -404,5 +404,5 @@ def rate_function(
             warm = astar
     meta = dict(metadata or {})
     meta.setdefault("alpha_max", alpha_max)
-    meta.setdefault("xtol", xtol)
+    meta.setdefault("xtol", XTOL)
     return RateCurve(points=points, metadata=meta)

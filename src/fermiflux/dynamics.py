@@ -46,15 +46,15 @@ def drift(model: ThermalQuasiFreeModel) -> PhaseSpaceMatrix:
     return PhaseSpaceMatrix(g, Basis.MAJORANA)
 
 
-def _reachable_basis(model: ThermalQuasiFreeModel, rtol: float) -> np.ndarray:
+def _reachable_basis(model: ThermalQuasiFreeModel) -> np.ndarray:
     """Orthonormal basis of the Kalman space, eigenspace by eigenspace of T_S.
 
     In each eigenspace U_k the directions with a singular value of Theta^* U_k
-    at most rtol * ||Theta|| are unreachable; the right singular vectors above
-    it, mapped back through U_k, are reachable.
+    at most KALMAN_RTOL * ||Theta|| are unreachable; the right singular vectors
+    above it, mapped back through U_k, are reachable.
     """
     theta = model.theta_total()
-    threshold = rtol * (np.linalg.norm(theta, 2) if theta.size else 0.0)
+    threshold = KALMAN_RTOL * (np.linalg.norm(theta, 2) if theta.size else 0.0)
     reach, margin = [], np.inf
     for uk in ps.eigenspaces(model.t_s.maj):
         _, s, vh = np.linalg.svd(theta.conj().T @ uk)
@@ -64,9 +64,9 @@ def _reachable_basis(model: ThermalQuasiFreeModel, rtol: float) -> np.ndarray:
     return np.hstack(reach)
 
 
-def kalman_rank(model: ThermalQuasiFreeModel, rtol: float = KALMAN_RTOL) -> tuple[int, bool]:
+def kalman_rank(model: ThermalQuasiFreeModel) -> tuple[int, bool]:
     """Dimension of the Kalman space and whether it is the whole phase space (ergodicity)."""
-    rank = _reachable_basis(model, rtol).shape[1]
+    rank = _reachable_basis(model).shape[1]
     return rank, rank == 2 * model.n_modes
 
 
@@ -114,7 +114,7 @@ def _lyapunov(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     return m, resid
 
 
-def stationary_covariance(model: ThermalQuasiFreeModel, residual_tol: float = LYAPUNOV_TOL) -> PhaseSpaceMatrix:
+def stationary_covariance(model: ThermalQuasiFreeModel) -> PhaseSpaceMatrix:
     """Unique solution of G M + M G* + noise = 0 for an ergodic model.
 
     Solved by the Schur-based Bartels-Stewart method; refuses (rather than
@@ -122,8 +122,8 @@ def stationary_covariance(model: ThermalQuasiFreeModel, residual_tol: float = LY
     """
     require_ergodic(model)
     m, resid = _lyapunov(drift(model).maj, model.noise_total())
-    if resid > residual_tol:
-        raise NotErgodicError(f"Lyapunov residual {resid:.3e} exceeds {residual_tol:.1e}")
+    if resid > LYAPUNOV_TOL:
+        raise NotErgodicError(f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_TOL:.1e}")
     return PhaseSpaceMatrix(m, Basis.MAJORANA)
 
 
@@ -136,7 +136,7 @@ def stationary_covariance_restricted(model: ThermalQuasiFreeModel):
     and carries the Gibbs mean (1/2) on the orthogonal complement.  Results for
     deficient models should be treated as representative, not unique.
     """
-    v = _reachable_basis(model, KALMAN_RTOL)
+    v = _reachable_basis(model)
     n = 2 * model.n_modes
     if v.shape[1] == n:
         return stationary_covariance(model), True

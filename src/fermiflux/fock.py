@@ -27,7 +27,7 @@ import scipy.linalg as sla
 
 from . import superop as so
 from .errors import MalformedInputError, ResourceLimitError
-from .phasespace import Basis, PhaseSpaceMatrix, gibbs_covariance
+from .phasespace import Basis, PhaseSpaceMatrix, covariance_generator, gibbs_covariance
 from .thermal import ThermalQuasiFreeModel
 
 L_MAX = 6
@@ -72,22 +72,18 @@ def majorana_matrices(n_modes: int):
     return tuple(gx + gy)
 
 
-def quadratic_operator(t: PhaseSpaceMatrix, n_modes: int | None = None) -> np.ndarray:
+def quadratic_operator(t: PhaseSpaceMatrix) -> np.ndarray:
     """Fock-space operator (1/4) sum_ij [T]_ij gamma_i gamma_j of a phase-space generator.
 
     With this normalization the gauge-invariant generator diag(1,...,-1,...)
     maps to N - L/2 and Gibbs states reproduce the logistic covariance law.
     """
-    if n_modes is None:
-        n_modes = t.n_modes
-    if t.n_modes != n_modes:
-        raise MalformedInputError("generator dimension does not match the mode count")
-    gammas = majorana_matrices(n_modes)
+    gammas = majorana_matrices(t.n_modes)
     tm = t.maj
-    dim = 2**n_modes
+    dim = 2**t.n_modes
     out = np.zeros((dim, dim), dtype=complex)
-    for i in range(2 * n_modes):
-        for j in range(2 * n_modes):
+    for i in range(t.dim):
+        for j in range(t.dim):
             if tm[i, j] != 0:
                 out += 0.25 * tm[i, j] * (gammas[i] @ gammas[j])
     return out
@@ -98,7 +94,7 @@ def gaussian_conjugator(t: PhaseSpaceMatrix) -> np.ndarray:
     return sla.expm(quadratic_operator(t))
 
 
-def covariance_of(rho: np.ndarray, trace_tol: float = 1e-8) -> PhaseSpaceMatrix:
+def covariance_of(rho: np.ndarray) -> PhaseSpaceMatrix:
     """Covariance M_ij = tr(rho gamma_i gamma_j)/2 of a unit-trace state."""
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
@@ -106,7 +102,7 @@ def covariance_of(rho: np.ndarray, trace_tol: float = 1e-8) -> PhaseSpaceMatrix:
     if 2**n_modes != dim:
         raise MalformedInputError(f"operator dimension {dim} is not a power of two")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-8:
         raise MalformedInputError(f"state must have unit trace, got {tr:.6g}")
     gammas = majorana_matrices(n_modes)
     m = np.empty((2 * n_modes, 2 * n_modes), dtype=complex)
@@ -125,18 +121,15 @@ class QuasiFreeState:
     covariance: PhaseSpaceMatrix
 
 
-def quasi_free_state(m: PhaseSpaceMatrix, n_modes: int | None = None, clamp: float = 1e-9) -> QuasiFreeState:
+def quasi_free_state(m: PhaseSpaceMatrix) -> QuasiFreeState:
     """Gaussian state with covariance m, via rho = exp(Q(logit m)) / Z.
 
-    The covariance spectrum is clamped to [clamp, 1-clamp] so boundary
-    (pure-mode) covariances are handled as smooth limits.
+    The logit is that of :func:`phasespace.covariance_generator`, which clamps
+    the covariance spectrum so boundary (pure-mode) covariances are handled as
+    smooth limits.
     """
-    from .phasespace import covariance_generator
-
-    if n_modes is None:
-        n_modes = m.n_modes
-    kappa = covariance_generator(m, clamp=clamp)
-    h = quadratic_operator(kappa, n_modes)
+    kappa = covariance_generator(m)
+    h = quadratic_operator(kappa)
     h = 0.5 * (h + h.conj().T)
     w, v = np.linalg.eigh(h)
     w = -(w - w.min())  # rho ~ exp(-Q(kappa)), shifted for overflow safety
@@ -176,11 +169,11 @@ def wick_check(state: QuasiFreeState, indices) -> tuple[complex, complex]:
 
 
 def system_hamiltonian(model: ThermalQuasiFreeModel) -> np.ndarray:
-    return quadratic_operator(model.t_s, model.n_modes)
+    return quadratic_operator(model.t_s)
 
 
 def pseudo_energy(model: ThermalQuasiFreeModel) -> np.ndarray:
-    return quadratic_operator(model.kappa_s, model.n_modes)
+    return quadratic_operator(model.kappa_s)
 
 
 def jump_operators(model: ThermalQuasiFreeModel, i: int):
@@ -286,11 +279,11 @@ def joint_realization(model: ThermalQuasiFreeModel):
         t_cpl[np.ix_(sys_idx, bath_idx)] = th
         t_cpl[np.ix_(bath_idx, sys_idx)] = th.conj().T
         k_b_joint += _embed_square(b.kappa.maj, offset, n_total)
-        rho_b = np.kron(rho_b, quasi_free_state(gibbs_covariance(b.kappa, b.beta), b.n_modes).density)
+        rho_b = np.kron(rho_b, quasi_free_state(gibbs_covariance(b.kappa, b.beta)).density)
         offset += b.n_modes
 
     def q(mat):
-        return quadratic_operator(PhaseSpaceMatrix(mat, Basis.MAJORANA), n_total)
+        return quadratic_operator(PhaseSpaceMatrix(mat, Basis.MAJORANA))
 
     return {
         "n_total": n_total,

@@ -27,7 +27,8 @@ import numpy as np
 from . import superop as so
 from .errors import InfeasibleError, MalformedInputError
 
-PROPORTIONALITY_TOL = 1e-9
+# target fluxes of at most this size are treated as zero by the synthesis
+ZERO_FLUX = 1e-12
 
 
 def gibbs_qubit(energy: float, beta: float) -> np.ndarray:
@@ -171,19 +172,6 @@ class ComposedMachine:
             out += comp.fluxes()
         return out
 
-    def full_model(self) -> so.LindbladModel:
-        model = self.components[0]
-        for comp in self.components[1:]:
-            model = tensor_models(model, comp)
-        return model
-
-    @property
-    def dim(self) -> int:
-        d = 1
-        for comp in self.components:
-            d *= comp.dim
-        return d
-
 
 def _idle_qubit(bath: int, betas) -> so.LindbladModel:
     """A single bath relaxing its own qubit: a valid thermal piece with zero flux."""
@@ -256,7 +244,7 @@ def _calibrated_fridge(j_target, bath_indices, betas) -> so.LindbladModel:
     )
 
 
-def synthesize(j_target, betas, tol: float = 1e-9) -> ComposedMachine:
+def synthesize(j_target, betas) -> ComposedMachine:
     """A machine whose stationary fluxes equal ``j_target``.
 
     Requires sum(J) = 0, strictly positive entropy production and pairwise
@@ -273,10 +261,10 @@ def synthesize(j_target, betas, tol: float = 1e-9) -> ComposedMachine:
         raise MalformedInputError("need at least two baths")
     if len(set(betas)) != n:
         raise InfeasibleError("temperatures must be pairwise distinct")
-    if abs(j_target.sum()) > tol:
+    if abs(j_target.sum()) > 1e-9:
         raise InfeasibleError(f"first law violated: sum J = {j_target.sum():.3e}")
     eps = float(np.asarray(betas) @ j_target)
-    if eps <= tol:
+    if eps <= 1e-9:
         raise InfeasibleError(f"entropy production must be strictly positive, got {eps:.3e}")
 
     order = np.argsort(betas)  # ascending: hottest first
@@ -285,20 +273,20 @@ def synthesize(j_target, betas, tol: float = 1e-9) -> ComposedMachine:
     return machine
 
 
-def _synthesize_sorted(j, order, betas, machine, zero_tol: float = 1e-12):
+def _synthesize_sorted(j, order, betas, machine):
     """Recursive peeling on the baths listed (ascending beta) in ``order``."""
     active = list(order)
     eps = float(sum(betas[k] * j[k] for k in active))
     if len(active) == 2:
         i_hot, i_cold = active
-        if abs(j[i_hot]) <= zero_tol:
+        if abs(j[i_hot]) <= ZERO_FLUX:
             machine.components.append(_idle_qubit(i_hot, betas))
             machine.components.append(_idle_qubit(i_cold, betas))
             return
         machine.components.append(_pair_machine(i_cold, i_hot, j[i_cold], betas))
         return
     i1, i2, i3 = active[0], active[1], active[2]
-    if abs(j[i1]) <= zero_tol:
+    if abs(j[i1]) <= ZERO_FLUX:
         machine.components.append(_idle_qubit(i1, betas))
         _synthesize_sorted(j, active[1:], betas, machine)
         return
@@ -307,7 +295,7 @@ def _synthesize_sorted(j, order, betas, machine, zero_tol: float = 1e-12):
         jt1 = j[i1]
         jt2 = (b1 - b3) / (b3 - b2) * jt1 - split * eps / (b3 - b2)
         jt3 = (b2 - b1) / (b3 - b2) * jt1 + split * eps / (b3 - b2)
-        if abs(jt2) > zero_tol and abs(jt3) > zero_tol:
+        if abs(jt2) > ZERO_FLUX and abs(jt3) > ZERO_FLUX:
             break
     else:
         raise InfeasibleError("could not find a nondegenerate three-bath split")

@@ -211,15 +211,15 @@ def gibbs_covariance(kappa: PhaseSpaceMatrix, beta: float) -> PhaseSpaceMatrix:
     return PhaseSpaceMatrix(m, Basis.MAJORANA)
 
 
-def covariance_generator(m: PhaseSpaceMatrix, clamp: float = 1e-9) -> PhaseSpaceMatrix:
+def covariance_generator(m: PhaseSpaceMatrix) -> PhaseSpaceMatrix:
     """Inverse of :func:`gibbs_covariance` at beta = 1: kappa with M = (1+e^-kappa)^-1.
 
-    The covariance spectrum is clamped to [clamp, 1-clamp] before the logit, so
+    The covariance spectrum is clamped to [1e-9, 1 - 1e-9] before the logit, so
     boundary (pure-mode) covariances degrade smoothly instead of diverging.
     """
     a = m.maj
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    w = np.clip(w, clamp, 1.0 - clamp)
+    w = np.clip(w, 1e-9, 1.0 - 1e-9)
     k = (v * logit(w)) @ v.conj().T
     return PhaseSpaceMatrix(k, Basis.MAJORANA)
 

@@ -98,10 +98,9 @@ def random_thermal_model(
     n_baths: int | None = None,
     kind: str | None = None,
     ensure_ergodic: bool = True,
-    max_tries: int = 50,
 ) -> ThermalQuasiFreeModel:
-    """Draw a random valid model; rejection-samples to full Kalman rank."""
-    for _ in range(max_tries):
+    """Draw a random valid model; rejection-samples to full Kalman rank, up to 50 draws."""
+    for _ in range(50):
         lm = n_modes if n_modes is not None else int(rng.integers(1, 4))
         nb = n_baths if n_baths is not None else int(rng.integers(2, 5))
         family = kind or ("spectral" if (rng.random() < 0.5 and nb >= lm) else "uniform")

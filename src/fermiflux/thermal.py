@@ -35,6 +35,9 @@ from . import phasespace as ps
 from .errors import InfeasibleError, InternalConsistencyError, MalformedInputError, ValidationError
 from .phasespace import Basis, CouplingMatrix, PhaseSpaceMatrix
 
+# slack of the no-fridge partial sums and of the hot-to-cold routing in the flux certificate
+NO_FRIDGE_TOL = 1e-9
+
 SCHEMA_DOC = """Model files are JSON documents with the following fields:
 
     {
@@ -163,7 +166,7 @@ def validate(model: ThermalQuasiFreeModel, tol: float = ps.DEFAULT_TOL) -> dict:
     return report
 
 
-def fluxes(model: ThermalQuasiFreeModel, m: PhaseSpaceMatrix, imag_tol: float = 1e-10) -> np.ndarray:
+def fluxes(model: ThermalQuasiFreeModel, m: PhaseSpaceMatrix) -> np.ndarray:
     """Mean energy flux into each bath for the state of covariance m.
 
     The paper's form is J_i = (1/2) Tr(kappa_S D_i(M_{beta_i} - M)) with
@@ -180,7 +183,7 @@ def fluxes(model: ThermalQuasiFreeModel, m: PhaseSpaceMatrix, imag_tol: float = 
     for i in range(model.n_baths):
         w, n, t = model.bath_modes(i)
         j = (w * n) @ np.sum(t.conj() * (mt @ t), axis=0)
-        if abs(j.imag) > imag_tol:
+        if abs(j.imag) > 1e-10:
             raise InternalConsistencyError(f"flux J_{i} has imaginary part {j.imag:.3e}")
         out[i] = j.real
     return out
@@ -204,8 +207,8 @@ def _worst_case_order(j: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.lexsort((-j, beta))
 
 
-def check_no_fridge(j: Sequence[float], beta: Sequence[float], tol: float = 1e-9):
-    """Partial-sum test: with baths sorted by increasing beta, every prefix sum <= tol.
+def check_no_fridge(j: Sequence[float], beta: Sequence[float]):
+    """Partial-sum test: with baths sorted by increasing beta, every prefix sum <= NO_FRIDGE_TOL.
 
     Returns ``(ok, witness)`` where witness is the 1-based prefix length of the
     first violation (None when ok).  For tied temperatures the test covers every
@@ -215,13 +218,13 @@ def check_no_fridge(j: Sequence[float], beta: Sequence[float], tol: float = 1e-9
     beta = np.asarray(beta, dtype=float)
     order = _worst_case_order(j, beta)
     partial = np.cumsum(j[order])
-    bad = np.nonzero(partial > tol)[0]
+    bad = np.nonzero(partial > NO_FRIDGE_TOL)[0]
     if bad.size:
         return False, int(bad[0]) + 1
     return True, None
 
 
-def decompose_fluxes(j: Sequence[float], beta: Sequence[float], tol: float = 1e-9) -> np.ndarray:
+def decompose_fluxes(j: Sequence[float], beta: Sequence[float]) -> np.ndarray:
     """Certificate of triviality: pairwise fluxes J_ij with row sums J.
 
     Returns an antisymmetric matrix with J_ij >= 0 whenever beta_i > beta_j
@@ -233,9 +236,9 @@ def decompose_fluxes(j: Sequence[float], beta: Sequence[float], tol: float = 1e-
     """
     j = np.asarray(j, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if abs(j.sum()) > max(tol, 1e-9 * max(1.0, np.abs(j).max())):
+    if abs(j.sum()) > 1e-9 * max(1.0, np.abs(j).max()):
         raise InfeasibleError(f"fluxes must sum to zero, got {j.sum():.3e}")
-    ok, witness = check_no_fridge(j, beta, tol=tol)
+    ok, witness = check_no_fridge(j, beta)
     if not ok:
         raise InfeasibleError(f"partial-sum condition fails at prefix {witness}")
     order = _worst_case_order(j, beta)
@@ -246,7 +249,7 @@ def decompose_fluxes(j: Sequence[float], beta: Sequence[float], tol: float = 1e-
         if remaining[a] >= 0:
             continue
         for b in range(a + 1, n):
-            if remaining[a] >= -tol:
+            if remaining[a] >= -NO_FRIDGE_TOL:
                 break
             if remaining[b] <= 0:
                 continue
@@ -257,7 +260,7 @@ def decompose_fluxes(j: Sequence[float], beta: Sequence[float], tol: float = 1e-
             remaining[a] += t
             remaining[b] -= t
     leftover = float(np.max(np.abs(remaining), initial=0.0))
-    if leftover > max(10 * tol, 1e-8 * max(1.0, np.abs(j).max())):
+    if leftover > 1e-8 * max(1.0, np.abs(j).max()):
         raise InfeasibleError(f"water-filling left unmatched flux {leftover:.3e}")
     return out
 

@@ -55,9 +55,9 @@ def _mode_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
     return {d: k for d, k in channels.items() if np.max(np.abs(so.kraus_rate(k))) > CHANNEL_NORM_FLOOR}
 
 
-def _snap_delta(value: float, deltas, tol: float = 1e-8) -> float:
+def _snap_delta(value: float, deltas) -> float:
     """Snap an energy difference onto 0 or one of the bath energies ``deltas``."""
-    scale = tol * max(1.0, *map(abs, deltas))
+    scale = 1e-8 * max(1.0, *map(abs, deltas))
     for d in (0.0, *deltas):
         if abs(value - d) < scale:
             return d
@@ -98,11 +98,11 @@ def _projector_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
     return {d: s for d, s in channels.items() if np.max(np.abs(s)) > CHANNEL_NORM_FLOOR}
 
 
-def extract_channels(model: ThermalQuasiFreeModel, cross_check: bool = True, tol: float = 1e-9):
+def extract_channels(model: ThermalQuasiFreeModel, cross_check: bool = True):
     """All jump channels of the model, by bath and ascending delta; requires single-mode baths.
 
-    The eigenmode route is authoritative; with ``cross_check`` (the only
-    d^2 x d^2 step) the projector route must agree with its ``kraus_map`` to ``tol``.
+    The eigenmode route is authoritative; with ``cross_check`` (the only d^2 x d^2
+    step) the projector route must agree with its ``kraus_map`` to 1e-9.
     """
     channels = []
     for i, bath in enumerate(model.baths):
@@ -116,7 +116,7 @@ def extract_channels(model: ThermalQuasiFreeModel, cross_check: bool = True, tol
             for d in sorted(set(by_delta) | set(ref)):
                 mine = so.kraus_map(by_delta[d]) if d in by_delta else 0.0
                 err = np.max(np.abs(mine - ref.get(d, 0.0)))
-                if err > tol:
+                if err > 1e-9:
                     raise UnsupportedModelError(
                         f"channel extraction routes disagree for bath {i}, delta {d}: {err:.3e}"
                     )
@@ -170,11 +170,11 @@ class _SurvivalSolver:
         expd = (self.v * np.exp(self.lam * t)) @ self.vinv
         return expd @ h @ expd.conj().T
 
-    def invert(self, coef: np.ndarray, target: float, t_max: float, t_tol: float = 1e-12):
+    def invert(self, coef: np.ndarray, target: float, t_max: float):
         """Smallest t in (0, t_max] with s(t) = target, or None if s stays above it.
 
         Bisection (s is strictly decreasing: s'(t) = -tr(Phi(1) h_t) <= 0),
-        refined to t_tol, with a few Newton polishing steps at the end.
+        refined to a bracket of 1e-12, with a few Newton polishing steps at the end.
         """
         s_end = self.value(coef, t_max)
         if s_end > target:
@@ -186,7 +186,7 @@ class _SurvivalSolver:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < t_tol:
+            if hi - lo < 1e-12:
                 break
         t = 0.5 * (lo + hi)
         for _ in range(3):  # Newton polish; derivative available in closed form
@@ -212,9 +212,8 @@ class _SimContext:
         return np.maximum(np.einsum("kij,ji->k", self.rates, h).real, 0.0)
 
 
-def _make_context(model: ThermalQuasiFreeModel, channels=None) -> _SimContext:
-    if channels is None:
-        channels = extract_channels(model, cross_check=False)
+def _make_context(model: ThermalQuasiFreeModel) -> _SimContext:
+    channels = extract_channels(model, cross_check=False)
     g = fock.lindblad_model(model).no_jump()
     rates = np.array([so.kraus_rate(ch.kraus) for ch in channels])
     return _SimContext(solver=_SurvivalSolver(g), channels=channels, rates=rates)
@@ -299,24 +298,16 @@ class CgfEstimate:
     reliable: bool
 
 
-def empirical_cgf(
-    records,
-    alpha,
-    bootstrap: int = 2000,
-    ci_level: float = 0.99,
-    min_records: int = 100,
-    min_ess: float = 30.0,
-    boot_seed: int = 12345,
-) -> CgfEstimate:
-    """(1/T) log mean exp(<alpha, N_T>) with a percentile-bootstrap confidence interval.
+def empirical_cgf(records, alpha) -> CgfEstimate:
+    """(1/T) log mean exp(<alpha, N_T>) with a 99% percentile-bootstrap confidence interval.
 
-    The effective sample size (sum w)^2 / sum w^2 guards against estimates
-    dominated by a handful of trajectories; below ``min_ess`` the estimate is
-    flagged unreliable.
+    Needs at least 100 records and resamples them 2000 times.  The effective
+    sample size (sum w)^2 / sum w^2 guards against estimates dominated by a
+    handful of trajectories; below 30 the estimate is flagged unreliable.
     """
     records = list(records)
-    if len(records) < min_records:
-        raise MalformedInputError(f"need at least {min_records} records, got {len(records)}")
+    if len(records) < 100:
+        raise MalformedInputError(f"need at least 100 records, got {len(records)}")
     horizon = records[0].horizon
     alpha = np.asarray(alpha, dtype=float)
     exponents = np.array([float(alpha @ r.totals) for r in records])
@@ -325,26 +316,25 @@ def empirical_cgf(
     n = len(w)
     value = (shift + np.log(w.mean())) / horizon
     ess = float(w.sum() ** 2 / (w**2).sum())
-    rng = np.random.Generator(np.random.Philox(key=np.array([boot_seed, 1], dtype=np.uint64)))
-    idx = rng.integers(0, n, size=(bootstrap, n))
+    rng = np.random.Generator(np.random.Philox(key=np.array([12345, 1], dtype=np.uint64)))
+    idx = rng.integers(0, n, size=(2000, n))
     boot = (shift + np.log(w[idx].mean(axis=1))) / horizon
-    lo, hi = np.quantile(boot, [(1 - ci_level) / 2, 1 - (1 - ci_level) / 2])
+    tail = (1 - 0.99) / 2
+    lo, hi = np.quantile(boot, [tail, 1 - tail])
     return CgfEstimate(
         value=float(value),
         ci_low=float(lo),
         ci_high=float(hi),
         effective_samples=ess,
-        reliable=ess >= min_ess,
+        reliable=ess >= 30.0,
     )
 
 
-def records_to_csv(records, metadata: dict | None = None) -> str:
+def records_to_csv(records) -> str:
     """Per-trajectory CSV: seed, horizon, jump count, energy per bath."""
     records = list(records)
     n_baths = len(records[0].totals) if records else 0
     out = io.StringIO()
-    for k, v in (metadata or {}).items():
-        out.write(f"# {k}: {v}\n")
     cols = ",".join(f"N_{i}" for i in range(n_baths))
     out.write(f"seed,T,n_jumps{',' if cols else ''}{cols}\n")
     for r in records:

@@ -105,6 +105,13 @@ class TestFlux:
             ["flux", "--chain-L", "2", "--beta0", "nan"],
             ["flux", "--chain-L", "2", "--tol", "nan"],
             ["e-alpha", "--chain-L", "2", "--alpha", "nan,0"],
+            ["mc", "--chain-L", "2", "--trajectories", "2", "--seed", "-1"],
+            ["mc", "--chain-L", "2", "--trajectories", "2", "--seed", "18446744073709551615"],
+            ["oracle", "--chain-L", "2", "--seed", "-1"],
+            ["oracle", "--chain-L", "2", "--alpha-samples", "0"],
+            ["oracle", "--chain-L", "2", "--alpha-samples", "-3"],
+            ["machine", "--seed", "-1"],
+            ["machine", "--sweep", "-1"],
         ],
     )
     def test_bad_input_usage_error(self, args, capsys):
@@ -113,6 +120,33 @@ class TestFlux:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["flux", "--model", "{tmp}/missing.json"],
+            ["flux", "--chain-L", "2", "--out", "{tmp}/no_dir/flux.csv"],
+            ["mc", "--chain-L", "2", "--trajectories", "2", "--T", "1", "--jump-log", "{tmp}/no_dir/jumps.csv"],
+        ],
+    )
+    def test_file_error_usage_error(self, args, tmp_path, capsys):
+        assert run_cli([a.format(tmp=tmp_path) for a in args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(tmp_path) in lines[0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["chain-sweep", "--chain-L", "2-3", "--model", "m.json"],
+            ["chain-sweep", "--chain-L", "2-3", "--tol", "1e-9"],
+            ["oracle", "--chain-L", "2", "--tol", "1e-9"],
+        ],
+    )
+    def test_flags_the_command_does_not_use_are_refused(self, args, capsys):
+        assert run_cli(args) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestValidateCommand:

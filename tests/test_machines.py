@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -196,7 +198,7 @@ class TestSynthesize:
         machine = machines.synthesize(target, (1.0, 2.0, 3.0))
         assert np.max(np.abs(machine.fluxes() - target)) < 1e-6
         # the composed model solved as one system gives the same fluxes
-        full = machine.full_model()
+        full = functools.reduce(machines.tensor_models, machine.components)
         assert np.max(np.abs(full.fluxes() - target)) < 1e-6
 
     def test_random_feasible_targets(self):
