@@ -114,11 +114,11 @@ def _load_model(args):
     if sources != 1:
         raise UsageError("exactly one model source required: --model or --chain-L")
     if args.model is not None:
-        return thermal.load_model(args.model), {"source": args.model}
+        return thermal.load_model(args.model)
     lengths = _parse_chain_lengths(args.chain_l)
     if len(lengths) != 1:
         raise UsageError("a single chain length is required here")
-    return chain.build(_chain_spec(args, lengths[0])), {"source": f"chain L={lengths[0]}"}
+    return chain.build(_chain_spec(args, lengths[0]))
 
 
 class UsageError(Exception):
@@ -128,7 +128,7 @@ class UsageError(Exception):
 def _load_validated(args):
     """The model of ``_load_model``, checked against the structural tolerance --tol."""
     _positive("--tol", args.tol)
-    model, _ = _load_model(args)
+    model = _load_model(args)
     thermal.validate(model, tol=args.tol)
     return model
 
@@ -158,7 +158,7 @@ def _header(model, **extra) -> str:
 
 def cmd_validate(args) -> int:
     _positive("--tol", args.tol)
-    model, _ = _load_model(args)
+    model = _load_model(args)
     report = thermal.residual_report(model)
     out = io.StringIO()
     out.write(_header(model, tolerance=args.tol))
@@ -257,8 +257,10 @@ def cmd_rate(args) -> int:
         return EXIT_NONCONVERGED if bad else EXIT_OK
     if lengths is None:
         raise UsageError("rate needs a model source")
+    _positive("--tol", args.tol)
     models = [chain.build(_chain_spec(args, length)) for length in lengths]
     for model in models:
+        thermal.validate(model, tol=args.tol)
         dynamics.require_ergodic(model)
     curves = [deviations.rate_function(model, zetas, alpha_max=args.alpha_max) for model in models]
     header = _header(None, betas=f"{args.beta0},{args.betaL}", thetas=f"{args.theta0},{args.thetaL}")
@@ -306,7 +308,7 @@ def _oracle_checks(model, n_alpha, seed):
 def cmd_oracle(args) -> int:
     _check_count("--alpha-samples", args.alpha_samples)
     _check_seed(args.seed, 1)
-    model, _ = _load_model(args)
+    model = _load_model(args)
     dynamics.require_ergodic(model)
     out = io.StringIO()
     out.write(_header(model, alpha_samples=args.alpha_samples, seed=args.seed))
@@ -333,9 +335,9 @@ def cmd_mc(args) -> int:
     model = _load_validated(args)
     m_inf = dynamics.stationary_covariance(model)
     rho0 = fock.quasi_free_state(m_inf).density
-    records = unravel.simulate_batch(model, rho0, args.T, args.trajectories, base_seed=args.seed)
-    if args.jump_log:
-        with open(args.jump_log, "w") as fh:
+    with open(args.jump_log or os.devnull, "w") as fh:  # opened first: a bad path costs no simulation
+        records = unravel.simulate_batch(model, rho0, args.T, args.trajectories, base_seed=args.seed)
+        if args.jump_log:
             fh.write(unravel.jump_log_csv(records))
     j = thermal.fluxes(model, m_inf)
     mean, sem = unravel.mean_rates(records)

@@ -12,10 +12,13 @@ quasi-free models that eigenvalue reduces to a 4L x 4L spectral problem: with
     B(alpha) = sum_i e^{alpha_i kappa_S} M_{beta_i} Theta_i Theta_i^*,
     Z(alpha) = [[A, B(alpha)], [B(-alpha at -beta), -A^*]],
 
-one has e(alpha) = (1/2) sum_{Re lambda > 0} lambda(Z) - (1/4) sum_i tr(Theta_i Theta_i^*).
-The eigenvalues of positive real part also determine the maximal solution of
-the associated algebraic Riccati equation, whose inverse-shifted form is the
-covariance of the deformed semigroup's dominant eigenvector.
+one has e(alpha) = (1/4) sum |Re lambda(Z)| - (1/4) sum_i tr(Theta_i Theta_i^*).
+This is the half-spectrum sum (1/2) sum_{Re lambda > 0} lambda(Z): the two
+B are Hermitian, so J Z is Hermitian (J = [[0, 1], [-1, 0]]) and the spectrum
+is symmetric under lambda -> -conj(lambda).  The eigenvalues of positive real
+part also determine the maximal solution of the associated algebraic Riccati
+equation, whose inverse-shifted form is the covariance of the deformed
+semigroup's dominant eigenvector.
 
 Z is solved one eigenspace U_w of kappa_S at a time.  [T_S, kappa_S] = 0 and
 Theta_i kappa_i = kappa_S Theta_i make A and B block diagonal there, with
@@ -28,13 +31,13 @@ with D_iw = T T^* and T = U_w^* Theta_i V_iw,
     Z_w(alpha) = [[A_w, sum_i e^{alpha_i w} n_i(w) D_iw],
                   [sum_i e^{-alpha_i w} (1 - n_i(w)) D_iw, -A_w^*]],
 
-and e(alpha) is the same half-spectrum sum over the union of the block
-spectra.  Only the scalars e^{+-alpha_i w} depend on alpha.  The support is
-imposed exactly: in floating point the couplings outside it are residues of
-about 1e-16, which the full Z multiplies by e^{|alpha| (w_max - w)}, enough
-to break the split of pairing models at moderate alpha.  The discarded
-coupling is logged at DEBUG and refused unless it is rounding.  Each block is
-solved at alpha - c, c the centre of the range of the alpha_i that reach it:
+and e(alpha) is the same |Re lambda| sum over the union of the block spectra.
+Only the scalars e^{+-alpha_i w} depend on alpha.  The support is imposed
+exactly: in floating point the couplings outside it are residues of about
+1e-16, which the full Z multiplies by e^{|alpha| (w_max - w)}.  The discarded
+coupling, weighted by its energy gap (the intertwining residual it implies),
+is logged at DEBUG and refused unless it is rounding.  Each block is solved
+at alpha - c, c the centre of the range of the alpha_i that reach it:
 Z_w(alpha - c) = S Z_w(alpha) S^{-1} with S = diag(e^{-cw/2}, e^{cw/2}), so
 the spectrum is the same and B+ and B- are balanced.  For the chain, kappa_S
 is the particle number and the blocks are its particle and hole sectors.
@@ -128,7 +131,8 @@ def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
         for i, ((wb, _, tb), scale) in enumerate(zip(modes, scales)):
             at = np.abs(wb - w) <= tol  # bath i's eigenmodes at energy w
             t = u.conj().T @ tb[:, at]
-            off = np.linalg.norm(u.conj().T @ tb[:, ~at], 2) / scale
+            # U^* (Theta_i kappa_i - kappa_S Theta_i) on the discarded eigenmodes
+            off = np.linalg.norm((u.conj().T @ tb[:, ~at]) * (wb[~at] - w), 2) / scale
             if off > ps.DEFAULT_TOL:
                 raise MalformedInputError(
                     f"bath {i} couples {off:.3e} (relative) outside its energy support at kappa_S "
@@ -178,31 +182,18 @@ def z_matrix(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     return z
 
 
-def _split_spectrum(lam: np.ndarray) -> np.ndarray:
-    """The eigenvalues of positive real part, which must be exactly half of ``lam``."""
-    near = np.abs(lam.real) < SPLIT_TOL
-    if np.any(near):
-        raise DegenerateSpectrumError(
-            f"{int(near.sum())} eigenvalue(s) within {SPLIT_TOL:.1e} of the imaginary axis"
-        )
-    plus = lam[lam.real > 0]
-    if 2 * len(plus) != len(lam):
-        raise DegenerateSpectrumError(
-            f"right-half-plane count {len(plus)} != {len(lam) // 2}; spectrum not split evenly"
-        )
-    return plus
-
-
 def e_alpha(model: ThermalQuasiFreeModel, alpha) -> float:
-    """Cumulant generating function by the half-spectrum sum over the blocks of Z."""
+    """Cumulant generating function (1/4) sum_w sum |Re lambda(Z_w)| - (1/4) sum_w trace_w.
+
+    Ergodicity is the caller's precondition (``dynamics.require_ergodic``):
+    only a block that no bath reaches is refused here.
+    """
     alpha = _check_alpha(model, alpha)
     blocks = _factors(model)
-    lam = np.concatenate([np.linalg.eigvals(b.z(alpha - b.shift(alpha))) for b in blocks])
-    plus = _split_spectrum(lam)
-    val = 0.5 * plus.sum() - 0.25 * sum(b.trace for b in blocks)
-    if abs(val.imag) > 1e-8:
-        raise InternalConsistencyError(f"e(alpha) has imaginary part {val.imag:.3e}")
-    return float(val.real)
+    if any(not b.baths.size for b in blocks):
+        raise DegenerateSpectrumError("a kappa_S eigenspace is reached by no bath: the model is not ergodic")
+    abs_re = sum(np.abs(np.linalg.eigvals(b.z(alpha - b.shift(alpha))).real).sum() for b in blocks)
+    return float(0.25 * abs_re - 0.25 * sum(b.trace for b in blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,35 +211,37 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
     Solved block by block from the ordered Schur form of each Z_w(alpha):
     stacking a basis of the invariant subspace for the right-half-plane
     eigenvalues as [V1; V2] gives X_w = V2 V1^{-1}, and X = sum_w U_w X_w U_w^*.
-    The eigenvalues are read off the Schur diagonals.  The deformed semigroup's
-    dominant eigenvector is the Gaussian state of covariance (1 + X)^{-1}.
+    The eigenvalues are read off the Schur diagonals, none within SPLIT_TOL of
+    the imaginary axis.  The deformed semigroup's dominant eigenvector is the
+    Gaussian state of covariance (1 + X)^{-1}.
     """
     alpha = _check_alpha(model, alpha)
     blocks = _factors(model)
     n = 2 * model.n_modes
     x = np.zeros((n, n), dtype=complex)
-    lam, trace = [], 0.0
+    abs_re, trace = 0.0, 0.0
     for b in blocks:
         c = b.shift(alpha)
         z = b.z(alpha - c)
         m = b.a.shape[0]
         t, q, k = sla.schur(z, output="complex", sort="rhp")
-        lam.append(np.diag(t))
-        if k != m:
-            raise DegenerateSpectrumError(f"Schur sort selected {k} eigenvalues, expected {m}")
+        margin = np.abs(np.diag(t).real)
+        if k != m or margin.min() < SPLIT_TOL:
+            raise DegenerateSpectrumError(
+                f"Schur sort kept {k} of {2 * m} eigenvalues; smallest |Re| {margin.min():.1e}, limit {SPLIT_TOL:.1e}"
+            )
+        abs_re += margin.sum()
         cond = np.linalg.cond(q[:m, :m])
         if not np.isfinite(cond) or cond > 1e12:
             raise NumericDegeneracyError(f"invariant-subspace stacking is singular (cond {cond:.3e})")
         xw = q[m:, :m] @ np.linalg.inv(q[:m, :m])
         trace += np.trace(z[:m, :m] + xw @ z[:m, m:]).real
         x += np.exp(-c * b.w) * (b.u @ xw @ b.u.conj().T)
-    lam = np.concatenate(lam)
-    plus = _split_spectrum(lam)
     x = 0.5 * (x + x.conj().T)
     cov = np.linalg.inv(np.eye(n) + x)
     cov = 0.5 * (cov + cov.conj().T)
     theta_trace = sum(b.trace for b in blocks)
-    e_spec = 0.5 * plus.sum().real - 0.25 * theta_trace
+    e_spec = 0.25 * abs_re - 0.25 * theta_trace
     e_trace = 0.5 * trace - 0.25 * theta_trace
     if abs(e_trace - e_spec) > 1e-7 * max(1.0, abs(e_spec)):
         raise InternalConsistencyError(

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fermiflux import chain, cli, deviations, thermal
+from fermiflux import chain, cli, deviations, thermal, unravel
 from fermiflux.errors import InternalConsistencyError
 from fermiflux.randgen import random_thermal_model
 
@@ -112,6 +112,7 @@ class TestFlux:
             ["oracle", "--chain-L", "2", "--alpha-samples", "-3"],
             ["machine", "--seed", "-1"],
             ["machine", "--sweep", "-1"],
+            ["rate", "--chain-L", "2-3", "--tol", "nan", "--points", "2"],
         ],
     )
     def test_bad_input_usage_error(self, args, capsys):
@@ -135,6 +136,15 @@ class TestFlux:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and str(tmp_path) in lines[0]
+
+    def test_jump_log_opened_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kw):
+            raise AssertionError("simulate_batch ran before the jump log was opened")
+
+        monkeypatch.setattr(unravel, "simulate_batch", never)
+        log = tmp_path / "no_dir" / "jumps.csv"
+        assert run_cli(["mc", "--chain-L", "2", "--trajectories", "2", "--jump-log", str(log)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "args",

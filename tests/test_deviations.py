@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fermiflux import chain, deviations, dynamics, fock, thermal
-from fermiflux.errors import MalformedInputError, UnsupportedModelError
+from fermiflux import chain, deviations, dynamics, fock, randgen, thermal
+from fermiflux.errors import MalformedInputError, UnsupportedModelError, ValidationError
 from fermiflux.phasespace import Basis, CouplingMatrix
 from fermiflux.randgen import random_thermal_model
 
@@ -146,8 +146,8 @@ class TestEAlpha:
             assert mid <= ends + 1e-9
 
     def test_degenerate_spectrum_refused(self):
-        # uncoupled model: the doubled matrix has purely imaginary spectrum,
-        # so the half-plane split is undefined and must fail loudly
+        # uncoupled model: no bath reaches either block of kappa_S, so the model
+        # is not ergodic and e_alpha refuses it
         from fermiflux.errors import DegenerateSpectrumError
 
         model = chain.build(chain.ChainSpec(length=2, theta0=0.0, thetaL=0.0))
@@ -382,6 +382,15 @@ class TestSectorSplit:
         ref = _mp_blocks_e(model, [a, 0.7])
         assert abs(deviations.e_alpha(model, [a, 0.7]) - ref) <= 1e-12 * abs(ref)
 
+    def test_eigenvalues_near_the_axis(self):
+        # both baths reach both blocks; at |alpha| >= 30 some |Re lambda| fall
+        # to about 1e-11, next to others of 1e8, and still add up to e
+        for seed in range(100, 110):
+            model = random_thermal_model(np.random.default_rng(seed), n_modes=4, n_baths=2, kind="spectral")
+            for a in (30.0, -30.0, 50.0, -50.0):
+                ref = _mp_blocks_e(model, [a, 0.0])
+                assert abs(deviations.e_two_bath(model, a) - ref) <= 1e-13 * max(1.0, abs(ref))
+
 
 class TestPairingModels:
     def test_no_exchange_between_energies(self):
@@ -440,6 +449,29 @@ class TestOutOfSupport:
         model = thermal.ThermalQuasiFreeModel(chain2.t_s, chain2.kappa_s, baths=(bath, chain2.baths[1]))
         with pytest.raises(MalformedInputError, match="outside its energy support"):
             deviations.e_alpha(model, [0.1, 0.0])
+
+    def test_near_degenerate_energies_accepted(self, monkeypatch):
+        # kappa_S energies 1 and 1 + 1e-6: each eigenvector is known only to
+        # about eps / gap, but the discarded coupling times its gap is rounding
+        checked = 0
+        for seed in range(40):
+            r = np.random.default_rng(seed)
+            o, _ = np.linalg.qr(r.normal(size=(4, 4)))
+            k = np.zeros((4, 4))
+            k[0, 1], k[2, 3] = 1.0, 1.0 + 1e-6
+            kappa = o @ (k - k.T) @ o.T
+            monkeypatch.setattr(randgen, "_random_antisym", lambda rng, n: kappa)
+            model = randgen._spectral_model(r, 2, 3)
+            try:
+                thermal.validate(model, tol=1e-10)
+            except ValidationError:
+                continue
+            checked += 1
+            for _ in range(3):
+                a = r.uniform(-2.0, 2.0, 3)
+                lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, a))
+                assert abs(deviations.e_alpha(model, a) - lam.real) < 1e-8
+        assert checked >= 10
 
     def test_discarded_coupling_logged(self, caplog):
         model = chain.build(chain.ChainSpec(length=3))
