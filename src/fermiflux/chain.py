@@ -2,9 +2,10 @@
 
 L interior sites with unit hopping, one single-mode bath attached to each end
 (couplings theta_0 and theta_{L+1}, inverse temperatures beta_0, beta_{L+1}).
-Everything is gauge invariant, so the model also has a fast L x L
-("small covariance") path; the stationary small covariance is tridiagonal with
-entries independent of L, given in closed form by :func:`closed_form`.
+Everything is gauge invariant, so the stationary covariance of :func:`build`,
+solved by :func:`dynamics.stationary_covariance`, is fixed by its L x L
+particle block ``.ca[:L, :L]``; that block is tridiagonal with entries
+independent of L, given in closed form by :func:`closed_form`.
 """
 
 from __future__ import annotations
@@ -12,18 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from . import dynamics, phasespace as ps
-from .errors import NotErgodicError
-from .phasespace import PhaseSpaceMatrix
+from . import phasespace as ps
 from .thermal import BathSpec, ThermalQuasiFreeModel
-
-# fraction filled by a single-mode bath at inverse temperature beta
-def occupation(beta: float) -> float:
-    """n(beta) = (1 + e^{-beta})^{-1}, the scalar bath covariance entry."""
-    from scipy.special import expit
-
-    return float(expit(beta))
 
 
 @dataclass(frozen=True)
@@ -39,10 +32,6 @@ class ChainSpec:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError("chain length must be >= 1")
-
-    @property
-    def ergodic(self) -> bool:
-        return self.theta0 != 0.0 and self.thetaL != 0.0
 
 
 def hopping_matrix(length: int) -> np.ndarray:
@@ -89,26 +78,6 @@ def build(spec: ChainSpec) -> ThermalQuasiFreeModel:
     return ThermalQuasiFreeModel(t_s=t_s, kappa_s=kappa_s, baths=baths)
 
 
-def small_drift(spec: ChainSpec) -> np.ndarray:
-    th = small_coupling(spec)
-    return -1j * hopping_matrix(spec.length) - 0.5 * th @ th.T
-
-
-def small_stationary(spec: ChainSpec) -> np.ndarray:
-    """Stationary L x L covariance from the gauge-invariant Lyapunov equation."""
-    if not spec.ergodic:
-        raise NotErgodicError("both end couplings must be nonzero")
-    g = small_drift(spec)
-    th = small_coupling(spec)
-    noise = th @ np.diag([occupation(spec.beta0), occupation(spec.betaL)]) @ th.T
-    return dynamics._lyapunov(g, noise)[0]
-
-
-def embed_small_covariance(m_small: np.ndarray) -> PhaseSpaceMatrix:
-    """Lift an L x L gauge-invariant covariance to the full phase space."""
-    return ps.embed_gauge_invariant(m_small, "covariance")
-
-
 @dataclass(frozen=True)
 class ChainClosedForm:
     """The five steady-state scalars: end/diagonal occupations, current amplitude, flux."""
@@ -123,26 +92,22 @@ class ChainClosedForm:
 def closed_form(spec: ChainSpec) -> ChainClosedForm:
     """Closed-form stationary entries; independent of the interior length.
 
-    With t0 = theta_0, tL = theta_{L+1}, n0/nL the bath occupations and
+    With g0 = theta_0^2, gL = theta_{L+1}^2, n0/nL the bath occupations
+    (1 + e^{-beta})^{-1} and
 
-        s = 4 (t0^2 + tL^2) + t0^2 tL^2 (t0^2 + tL^2),
+        s = 4 (g0 + gL) + g0 gL (g0 + gL),
 
-    the diagonal of the small covariance is (p0, p_mid, ..., p_mid, pL), the
+    the diagonal of the particle block is (p0, p_mid, ..., p_mid, pL), the
     first off-diagonal is +- i j, and the flux into bath 0 is 2 j.  (The
     published s-formula names a non-existent third coupling; reading it as
     theta_0 is the only choice consistent with the Lyapunov solve, which the
-    tests enforce.)
-
-    Caveat: for unequal end couplings the displayed end-site formulas p0 and
-    pL do NOT agree with the numeric Lyapunov solve (their theta indices are
-    asymmetric as published), while p_mid, j and the flux do.  The numeric
-    solve is authoritative; compare via :func:`small_stationary`.
+    tests enforce.)  Needs at least one nonzero coupling.
     """
-    t0, tl = spec.theta0, spec.thetaL
-    n0, nl = occupation(spec.beta0), occupation(spec.betaL)
-    s = 4.0 * (t0**2 + tl**2) + t0**2 * tl**2 * (t0**2 + tl**2)
-    p0 = (t0**2 * (tl**4 + t0**2 * tl**2 + 4.0) * n0 + 4.0 * t0**2 * nl) / s
-    p_mid = (t0**2 * (tl**4 + 4.0) * n0 + tl**2 * (t0**4 + 4.0) * nl) / s
-    pl = (4.0 * tl**2 * n0 + t0**2 * (tl**4 + tl**2 * t0**2 + 4.0) * nl) / s
-    j = 2.0 * t0**2 * tl**2 * (n0 - nl) / s
+    g0, gl = spec.theta0**2, spec.thetaL**2
+    n0, nl = float(expit(spec.beta0)), float(expit(spec.betaL))
+    s = 4.0 * (g0 + gl) + g0 * gl * (g0 + gl)
+    p0 = (g0 * (gl**2 + g0 * gl + 4.0) * n0 + 4.0 * gl * nl) / s
+    p_mid = (g0 * (gl**2 + 4.0) * n0 + gl * (g0**2 + 4.0) * nl) / s
+    pl = (4.0 * g0 * n0 + gl * (g0**2 + g0 * gl + 4.0) * nl) / s
+    j = 2.0 * g0 * gl * (n0 - nl) / s
     return ChainClosedForm(p0=p0, p_mid=p_mid, pL=pl, j=j, flux=2.0 * j)

@@ -394,10 +394,11 @@ def cmd_chain_sweep(args) -> int:
     out.write("L,J_numeric,J_closed,p0_num,pmid_num,pL_num,j_num,max_closed_form_diff\n")
     for length in lengths:
         spec = _chain_spec(args, length)
-        m = chain.small_stationary(spec)
-        cf = chain.closed_form(spec)
         model = chain.build(spec)
-        j_num = thermal.fluxes(model, dynamics.stationary_covariance(model))[0]
+        cov = dynamics.stationary_covariance(model)
+        cf = chain.closed_form(spec)
+        j_num = thermal.fluxes(model, cov)[0]
+        m = cov.ca[:length, :length]
         p0 = m[0, 0].real
         pl = m[-1, -1].real
         pm = m[1, 1].real if length > 2 else 0.5 * (p0 + pl)

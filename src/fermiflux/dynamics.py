@@ -14,10 +14,12 @@ equivalent to the Kalman rank condition: T_S is self-adjoint, so the
 orthogonal complement of the Kalman space is spanned by the eigenvectors of
 T_S that Theta^* annihilates.  With U_k an orthonormal basis of the k-th
 eigenspace of T_S, the model is ergodic iff every Theta^* U_k has full column
-rank, and the null vectors of the deficient ones span the unreachable
-subspace.  This form needs one ``eigh`` and stays well conditioned, where the
-monomial Krylov basis T_S^k Theta loses rank numerically on long chains.  The
-Lyapunov equation is solved by the Bartels-Stewart (Schur) method in O((2L)^3).
+rank, and the Kalman rank is the sum of their ranks.  This form needs one
+``eigh`` and stays well conditioned, where the monomial Krylov basis
+T_S^k Theta loses rank numerically on long chains.  The Lyapunov equation is
+solved by the Bartels-Stewart (Schur) method in O((2L)^3), in
+:func:`stationary_covariance` only: no model class, the chain included, has a
+reduced solve of its own.
 """
 
 from __future__ import annotations
@@ -46,27 +48,20 @@ def drift(model: ThermalQuasiFreeModel) -> PhaseSpaceMatrix:
     return PhaseSpaceMatrix(g, Basis.MAJORANA)
 
 
-def _reachable_basis(model: ThermalQuasiFreeModel) -> np.ndarray:
-    """Orthonormal basis of the Kalman space, eigenspace by eigenspace of T_S.
+def kalman_rank(model: ThermalQuasiFreeModel) -> tuple[int, bool]:
+    """Dimension of the Kalman space and whether it is the whole phase space (ergodicity).
 
-    In each eigenspace U_k the directions with a singular value of Theta^* U_k
-    at most KALMAN_RTOL * ||Theta|| are unreachable; the right singular vectors
-    above it, mapped back through U_k, are reachable.
+    Each eigenspace U_k of T_S adds as many reachable directions as Theta^* U_k
+    has singular values above KALMAN_RTOL * ||Theta||.
     """
     theta = model.theta_total()
     threshold = KALMAN_RTOL * (np.linalg.norm(theta, 2) if theta.size else 0.0)
-    reach, margin = [], np.inf
+    rank, margin = 0, np.inf
     for uk in ps.eigenspaces(model.t_s.maj):
-        _, s, vh = np.linalg.svd(theta.conj().T @ uk)
-        reach.append(uk @ vh[: int(np.sum(s > threshold))].conj().T)
+        s = np.linalg.svd(theta.conj().T @ uk, compute_uv=False)
+        rank += int(np.sum(s > threshold))
         margin = min(margin, s.min() if s.size == uk.shape[1] else 0.0)
     log.debug("PBH margin %.3e against threshold %.3e", margin, threshold)
-    return np.hstack(reach)
-
-
-def kalman_rank(model: ThermalQuasiFreeModel) -> tuple[int, bool]:
-    """Dimension of the Kalman space and whether it is the whole phase space (ergodicity)."""
-    rank = _reachable_basis(model).shape[1]
     return rank, rank == 2 * model.n_modes
 
 
@@ -105,15 +100,6 @@ def evolve(m0: PhaseSpaceMatrix, model: ThermalQuasiFreeModel, t: float) -> Phas
     return PhaseSpaceMatrix(m, Basis.MAJORANA)
 
 
-def _lyapunov(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hermitian solution M of G M + M G* + C = 0 (Bartels-Stewart) and its residual norm."""
-    m = sla.solve_continuous_lyapunov(g, -c)
-    m = 0.5 * (m + m.conj().T)
-    resid = float(np.linalg.norm(g @ m + m @ g.conj().T + c, 2))
-    log.debug("Lyapunov residual %.3e at dimension %d", resid, g.shape[0])
-    return m, resid
-
-
 def stationary_covariance(model: ThermalQuasiFreeModel) -> PhaseSpaceMatrix:
     """Unique solution of G M + M G* + noise = 0 for an ergodic model.
 
@@ -121,29 +107,11 @@ def stationary_covariance(model: ThermalQuasiFreeModel) -> PhaseSpaceMatrix:
     silently picking one of many solutions) when the Kalman rank is deficient.
     """
     require_ergodic(model)
-    m, resid = _lyapunov(drift(model).maj, model.noise_total())
+    g, c = drift(model).maj, model.noise_total()
+    m = sla.solve_continuous_lyapunov(g, -c)
+    m = 0.5 * (m + m.conj().T)
+    resid = float(np.linalg.norm(g @ m + m @ g.conj().T + c, 2))
+    log.debug("Lyapunov residual %.3e at dimension %d", resid, g.shape[0])
     if resid > LYAPUNOV_TOL:
         raise NotErgodicError(f"Lyapunov residual {resid:.3e} exceeds {LYAPUNOV_TOL:.1e}")
     return PhaseSpaceMatrix(m, Basis.MAJORANA)
-
-
-def stationary_covariance_restricted(model: ThermalQuasiFreeModel):
-    """Stationary covariance data for possibly non-ergodic models.
-
-    Returns ``(m, ergodic)``.  When the Kalman space is a proper subspace V,
-    the Lyapunov map is only invertible on operators over V; fluxes depend on
-    the restriction only, so the returned covariance solves the equation on V
-    and carries the Gibbs mean (1/2) on the orthogonal complement.  Results for
-    deficient models should be treated as representative, not unique.
-    """
-    v = _reachable_basis(model)
-    n = 2 * model.n_modes
-    if v.shape[1] == n:
-        return stationary_covariance(model), True
-    if v.shape[1] == 0:
-        return PhaseSpaceMatrix(0.5 * np.eye(n), Basis.MAJORANA), False
-    g = v.conj().T @ drift(model).maj @ v
-    c = v.conj().T @ model.noise_total() @ v
-    m_small, _ = _lyapunov(g, c)
-    m = v @ m_small @ v.conj().T + 0.5 * (np.eye(n) - v @ v.conj().T)
-    return PhaseSpaceMatrix(m, Basis.MAJORANA), False

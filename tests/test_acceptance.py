@@ -26,7 +26,7 @@ def test_criterion_1_chain_flux():
     for length in range(2, 11):
         spec = chain.ChainSpec(length=length, beta0=1.0, betaL=0.0)
         cf = chain.closed_form(spec)
-        m = chain.small_stationary(spec)
+        m = dynamics.stationary_covariance(chain.build(spec)).ca[:length, :length]
         j_numeric = 2.0 * abs(m[0, 1].imag)
         assert abs(cf.flux - CHAIN_FLUX) < 1e-10
         assert abs(j_numeric - cf.flux) < 1e-10
@@ -39,14 +39,14 @@ def test_criterion_2_chain_closed_forms():
     worst = 0.0
     for length in range(2, 11):
         spec = chain.ChainSpec(length=length, beta0=1.0, betaL=0.0)
-        m = chain.small_stationary(spec)
+        m = dynamics.stationary_covariance(chain.build(spec)).ca[:length, :length]
         cf = chain.closed_form(spec)
         diffs = [abs(m[0, 0].real - cf.p0), abs(m[-1, -1].real - cf.pL)]
         diffs += [abs(m[k, k].real - cf.p_mid) for k in range(1, length - 1)]
         diffs += [abs(abs(m[k, k + 1].imag) - cf.j) for k in range(length - 1)]
         worst = max(worst, max(diffs))
     assert worst < 1e-10, f"closed form vs numeric mismatch {worst:.3e}: published-formula discrepancy"
-    _report(2, f"small-covariance closed forms match Lyapunov to {worst:.1e} for L=2..10")
+    _report(2, f"particle-block closed forms match Lyapunov to {worst:.1e} for L=2..10")
 
 
 def _oracle_models():

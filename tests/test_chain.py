@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from fermiflux import chain, dynamics, thermal
-from fermiflux import phasespace as ps
-from fermiflux.errors import NotErgodicError
+
+
+def particle_block(spec):
+    """The L x L CA block of the chain's stationary covariance."""
+    return dynamics.stationary_covariance(chain.build(spec)).ca[: spec.length, : spec.length]
 
 
 class TestBuild:
@@ -27,23 +31,18 @@ class TestBuild:
             _, full = dynamics.kalman_rank(chain.build(chain.ChainSpec(length=length)))
             assert full
 
-    def test_embedded_matches_small_path(self, chain2_spec, chain2):
-        small = chain.small_stationary(chain2_spec)
-        full = dynamics.stationary_covariance(chain2)
-        assert np.max(np.abs(chain.embed_small_covariance(small).maj - full.maj)) < 1e-10
-
 
 class TestSmallStationary:
     def test_equilibrium(self):
         beta = 1.3
         spec = chain.ChainSpec(length=4, beta0=beta, betaL=beta)
-        m = chain.small_stationary(spec)
-        expected = chain.occupation(beta) * np.eye(4)
+        m = particle_block(spec)
+        expected = expit(beta) * np.eye(4)
         assert np.max(np.abs(m - expected)) < 1e-12
 
     def test_tridiagonal_structure(self, chain2_spec):
         spec = chain.ChainSpec(length=5, beta0=1.0, betaL=0.0)
-        m = chain.small_stationary(spec)
+        m = particle_block(spec)
         for i in range(5):
             for j in range(5):
                 if abs(i - j) > 1:
@@ -63,7 +62,7 @@ class TestSmallStationary:
     @pytest.mark.parametrize("length", range(2, 11))
     def test_closed_form_vs_lyapunov(self, length):
         spec = chain.ChainSpec(length=length, beta0=1.0, betaL=0.0)
-        m = chain.small_stationary(spec)
+        m = particle_block(spec)
         cf = chain.closed_form(spec)
         assert abs(m[0, 0].real - cf.p0) < 1e-10
         assert abs(m[-1, -1].real - cf.pL) < 1e-10
@@ -72,30 +71,39 @@ class TestSmallStationary:
         for k in range(length - 1):
             assert abs(abs(m[k, k + 1].imag) - cf.j) < 1e-10
 
-    def test_non_ergodic_raises(self):
-        with pytest.raises(NotErgodicError):
-            chain.small_stationary(chain.ChainSpec(length=2, theta0=0.0, thetaL=0.0))
-
     def test_general_couplings_numeric_vs_closed(self):
-        # the published closed forms hold as displayed when the two couplings
-        # are equal; the numeric Lyapunov solve is authoritative in general
         spec = chain.ChainSpec(length=3, theta0=0.8, thetaL=0.8, beta0=1.4, betaL=0.2)
-        m = chain.small_stationary(spec)
+        m = particle_block(spec)
         cf = chain.closed_form(spec)
         assert abs(m[0, 0].real - cf.p0) < 1e-10
         assert abs(abs(m[0, 1].imag) - cf.j) < 1e-10
 
     def test_unequal_couplings_known_discrepancy(self):
-        # with theta0 != thetaL the displayed end-site formulas p0/pL drift
-        # from the Lyapunov solve, while p_mid, j and the flux stay exact;
-        # the numeric solve is the ground truth and is what the solvers use
+        # the published end-site formulas swap the couplings in their cross
+        # terms, which shows only for unequal couplings; the corrected ones agree
         spec = chain.ChainSpec(length=4, theta0=1.0, thetaL=0.5, beta0=1.2, betaL=0.1)
-        m = chain.small_stationary(spec)
+        m = particle_block(spec)
         cf = chain.closed_form(spec)
         assert abs(m[1, 1].real - cf.p_mid) < 1e-10
         assert abs(abs(m[0, 1].imag) - cf.j) < 1e-10
         assert abs(2 * abs(m[0, 1].imag) - cf.flux) < 1e-10
-        assert abs(m[0, 0].real - cf.p0) > 1e-2  # documented formula defect
+        assert abs(m[0, 0].real - cf.p0) < 1e-10
+        assert abs(m[-1, -1].real - cf.pL) < 1e-10
+
+    def test_closed_form_on_drawn_chains(self):
+        # unequal couplings and temperatures of both signs: the diagonal and the
+        # first off-diagonal of the particle block against the closed form
+        r = np.random.default_rng(23)
+        for length in range(2, 12):
+            for _ in range(4):
+                theta0, theta_l = r.uniform(0.2, 3.0, 2)
+                beta0, beta_l = r.uniform(-2.0, 2.0, 2)
+                spec = chain.ChainSpec(length, theta0, theta_l, beta0, beta_l)
+                m = particle_block(spec)
+                cf = chain.closed_form(spec)
+                diag = [cf.p0] + [cf.p_mid] * (length - 2) + [cf.pL]
+                assert np.max(np.abs(np.diag(m) - diag)) < 1e-12
+                assert np.max(np.abs(np.abs(np.diag(m, 1)) - abs(cf.j))) < 1e-12
 
 
 class TestFlux:
@@ -117,10 +125,10 @@ class TestFlux:
                 beta0=r.uniform(0.0, 2.0),
                 betaL=r.uniform(0.0, 2.0),
             )
-            m = chain.small_stationary(spec)
             model = chain.build(spec)
-            j = thermal.fluxes(model, dynamics.stationary_covariance(model))
-            assert abs(j[0] - 2.0 * abs(m[0, 1].imag) * np.sign(j[0])) < 1e-10
+            cov = dynamics.stationary_covariance(model)
+            j = thermal.fluxes(model, cov)
+            assert abs(j[0] - 2.0 * abs(cov.ca[0, 1].imag) * np.sign(j[0])) < 1e-10
 
     def test_long_drawn_chains(self):
         # every chain is ergodic, however long; end couplings and

@@ -427,6 +427,27 @@ class TestChainSweep:
         assert [int(r[0]) for r in rows] == list(range(2, 61))
         assert max(float(r[-1]) for r in rows) <= 1e-10
 
+    def test_one_sided_chain_accepted(self, tmp_path):
+        # theta0 = 0 leaves one bath, which reaches every site: ergodic, no flux
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["chain-sweep", "--chain-L", "2-3", "--theta0", "0", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [int(r[0]) for r in rows] == [2, 3]
+        assert all(float(r[1]) == 0.0 for r in rows)
+
+    def test_unequal_couplings_match_closed_form(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = ["chain-sweep", "--chain-L", "2-6", "--theta0", "2", "--thetaL", "1", "--out", str(out)]
+        assert run_cli(args) == 0
+        _, rows = read_rows(out)
+        assert max(float(r[-1]) for r in rows) < 1e-12
+
+    def test_uncoupled_chain_refused(self, capsys):
+        assert run_cli(["chain-sweep", "--chain-L", "2-3", "--theta0", "0", "--thetaL", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-ergodic model" in captured.err
+
 
 class TestDeterminism:
     def test_flux_byte_identical(self, tmp_path):

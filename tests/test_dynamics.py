@@ -110,9 +110,6 @@ class TestKalman:
         model = ThermalQuasiFreeModel(t_s=t_s, kappa_s=kappa_s, baths=(bath,))
         assert dynamics.kalman_rank(model) == (2, False)
         assert np.linalg.eigvals(dynamics.drift(model).maj).real.max() > -1e-10
-        m, ergodic = dynamics.stationary_covariance_restricted(model)
-        assert not ergodic
-        ps.validate_covariance(m, tol=1e-8)
 
     def test_equivalent_to_spectral_stability(self):
         # full Kalman rank iff every drift eigenvalue is strictly damped
@@ -228,16 +225,3 @@ class TestStationary:
         spec = chain.ChainSpec(length=2, theta0=0.0, thetaL=0.0)
         with pytest.raises(NotErgodicError):
             dynamics.stationary_covariance(chain.build(spec))
-
-    def test_restricted_path_flags(self):
-        model = _decoupled_site_model()
-        m, ergodic = dynamics.stationary_covariance_restricted(model)
-        assert not ergodic
-        ps.validate_covariance(m, tol=1e-8)
-        # the reachable site thermalizes to the bath temperature
-        beta = model.baths[0].beta
-        expected = model.gibbs_system_covariance(beta).ca[0, 0]
-        assert abs(m.ca[0, 0] - expected) < 1e-9
-        # a single bath in equilibrium with its reachable block draws no flux
-        j = thermal.fluxes(model, m)
-        assert np.max(np.abs(j)) < 1e-9
