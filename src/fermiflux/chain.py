@@ -59,9 +59,9 @@ def build(spec: ChainSpec) -> ThermalQuasiFreeModel:
     intertwining constraints hold by construction.
     """
     ls = spec.length
-    t_s = ps.embed_gauge_invariant(hopping_matrix(ls), "generator")
-    kappa_s = ps.embed_gauge_invariant(np.eye(ls), "generator")
-    kappa_bath = ps.embed_gauge_invariant(np.eye(1), "generator")
+    t_s = ps.embed_gauge_invariant(hopping_matrix(ls))
+    kappa_s = ps.embed_gauge_invariant(np.eye(ls))
+    kappa_bath = ps.embed_gauge_invariant(np.eye(1))
     th = small_coupling(spec)
     baths = (
         BathSpec(

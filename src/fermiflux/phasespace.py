@@ -224,22 +224,11 @@ def covariance_generator(m: PhaseSpaceMatrix) -> PhaseSpaceMatrix:
     return PhaseSpaceMatrix(k, Basis.MAJORANA)
 
 
-def embed_gauge_invariant(small: np.ndarray, kind: str) -> PhaseSpaceMatrix:
-    """Lift an L x L gauge-invariant object to the full phase space (CA basis).
-
-    ``kind='generator'`` embeds a one-particle Hamiltonian h as diag(h, -conj(h));
-    ``kind='covariance'`` embeds a small covariance m as diag(m, 1 - conj(m)).
-    """
+def embed_gauge_invariant(small: np.ndarray) -> PhaseSpaceMatrix:
+    """Lift an L x L one-particle Hamiltonian h to the full phase space as diag(h, -conj(h)) (CA basis)."""
     small = np.asarray(small, dtype=complex)
-    L = small.shape[0]
-    z = np.zeros((L, L))
-    if kind == "generator":
-        blocks = [[small, z], [z, -np.conj(small)]]
-    elif kind == "covariance":
-        blocks = [[small, z], [z, np.eye(L) - np.conj(small)]]
-    else:
-        raise MalformedInputError(f"unknown embedding kind {kind!r}")
-    return PhaseSpaceMatrix(np.block(blocks), Basis.CA)
+    z = np.zeros(small.shape)
+    return PhaseSpaceMatrix(np.block([[small, z], [z, -np.conj(small)]]), Basis.CA)
 
 
 def embed_gauge_invariant_coupling(small: np.ndarray) -> CouplingMatrix:

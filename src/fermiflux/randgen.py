@@ -74,9 +74,9 @@ def _uniform_model(rng, n_modes: int, n_baths: int, complex_phases: bool = False
     else:
         h = rng.normal(size=(n_modes, n_modes))
         h = 0.5 * (h + h.T)
-    t_s = ps.embed_gauge_invariant(h, "generator")
-    kappa_s = ps.embed_gauge_invariant(omega * np.eye(n_modes), "generator")
-    kappa_b = ps.embed_gauge_invariant(omega * np.eye(1), "generator")
+    t_s = ps.embed_gauge_invariant(h)
+    kappa_s = ps.embed_gauge_invariant(omega * np.eye(n_modes))
+    kappa_b = ps.embed_gauge_invariant(omega * np.eye(1))
     baths = []
     for _ in range(n_baths):
         col = rng.normal(size=(n_modes, 1)).astype(complex)

@@ -3,7 +3,8 @@
 Trajectories are sampled exactly (no time-step discretization): between jumps
 the unnormalized conditional state evolves as h(t) = e^{tG} h e^{tG*} with
 G = -i H_S - (1/2) Phi(1) (``LindbladModel.no_jump``), the next jump time
-solves survival(t) = u for a uniform u through safeguarded bisection, and the
+solves survival(t) = u for a uniform u by safeguarded Newton on log survival
+(a bisection step whenever Newton would leave the bracket), and the
 jump channel (bath i, energy quantum delta) is drawn proportionally to
 tr(R h): one contraction of h with the stacked rate operators
 R = sum_K K^dagger K gives every channel weight.
@@ -22,6 +23,8 @@ index); identical seeds reproduce trajectories bit for bit on any platform.
 from __future__ import annotations
 
 import io
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,8 @@ from .errors import MalformedInputError, UnsupportedModelError
 from .thermal import ThermalQuasiFreeModel
 
 CHANNEL_NORM_FLOOR = 1e-12
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +154,7 @@ class _SurvivalSolver:
     With G = V diag(lam) V^{-1} and h~ = V^{-1} h V^{-dagger}, the survival is
     a finite sum of exponentials s(t) = sum_{jk} c_jk e^{t (lam_j + conj(lam_k))}
     whose coefficients are recomputed once per no-jump segment.
+    ``evaluations`` counts the sums over exp(mu t) that ``invert`` computed.
     """
 
     def __init__(self, g: np.ndarray):
@@ -158,13 +164,11 @@ class _SurvivalSolver:
         self.vinv = np.linalg.inv(v)
         self.mu = (lam[:, None] + lam.conj()[None, :]).reshape(-1)
         self.w = (v.conj().T @ v).T  # w[j, k] = (V^dagger V)_{kj}
+        self.evaluations = 0
 
     def coefficients(self, h: np.ndarray) -> np.ndarray:
         ht = self.vinv @ h @ self.vinv.conj().T
         return (self.w * ht).reshape(-1)
-
-    def value(self, coef: np.ndarray, t: float) -> float:
-        return float(np.real(coef @ np.exp(self.mu * t)))
 
     def evolve(self, h: np.ndarray, t: float) -> np.ndarray:
         expd = (self.v * np.exp(self.lam * t)) @ self.vinv
@@ -173,32 +177,41 @@ class _SurvivalSolver:
     def invert(self, coef: np.ndarray, target: float, t_max: float):
         """Smallest t in (0, t_max] with s(t) = target, or None if s stays above it.
 
-        Bisection (s is strictly decreasing: s'(t) = -tr(Phi(1) h_t) <= 0),
-        refined to a bracket of 1e-12, with a few Newton polishing steps at the end.
+        Newton on log s(t) = log target from t = 0, exact for one exponential.
+        s is non-increasing (s' = -tr(Phi(1) h_t) <= 0), but log s need not be
+        convex (mu is complex), so every evaluation tightens a bracket [lo, hi]
+        and a step that leaves it, or a point with s <= 0 or s' >= 0, becomes
+        the midpoint.  One exp(mu t) gives both s and s'.  Stops on a step or a
+        bracket of 1e-13 max(1, t): a tighter stop sends the rounding-level last
+        steps out of the bracket and back to bisection.
         """
-        s_end = self.value(coef, t_max)
-        if s_end > target:
+        mu = self.mu
+        dcoef = coef * mu
+        e = np.exp(mu * t_max)
+        self.evaluations += 1
+        if (coef @ e).real > target:
             return None
+        log_u = math.log(target) if target > 0.0 else -math.inf
         lo, hi = 0.0, t_max
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if self.value(coef, mid) > target:
-                lo = mid
+        t = 0.0
+        s, ds = float(coef.sum().real), float(dcoef.sum().real)
+        for _ in range(100):
+            if s > target:
+                lo = t
             else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
-        t = 0.5 * (lo + hi)
-        for _ in range(3):  # Newton polish; derivative available in closed form
-            ds = float(np.real((coef * self.mu) @ np.exp(self.mu * t)))
-            if ds == 0.0:
-                break
-            step = (self.value(coef, t) - target) / ds
-            t_new = t - step
-            if not lo <= t_new <= hi:
-                break
+                hi = t
+            t_new = t - (math.log(s) - log_u) * s / ds if s > 0.0 and ds < 0.0 else math.nan
+            if abs(t_new - t) <= 1e-13 * max(1.0, t):
+                return min(max(t_new, lo), hi)  # a rounding-level step may overshoot the bracket
+            if not lo < t_new < hi:
+                t_new = 0.5 * (lo + hi)
+                if hi - lo <= 1e-13 * max(1.0, t_new):
+                    return t_new
             t = t_new
-        return t
+            e = np.exp(mu * t)
+            self.evaluations += 1
+            s, ds = float((coef @ e).real), float((dcoef @ e).real)
+        return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -274,9 +287,15 @@ def simulate_batch(
     if n_trajectories < 1:
         raise MalformedInputError("need at least one trajectory")
     ctx = _make_context(model)
-    return [
+    records = [
         simulate(model, rho0, horizon, base_seed + k, _context=ctx) for k in range(n_trajectories)
     ]
+    jumps = sum(r.n_jumps for r in records)
+    log.debug(
+        "%d trajectories, %d jumps, %.2f survival evaluations per jump",
+        n_trajectories, jumps, ctx.solver.evaluations / max(jumps, 1),
+    )
+    return records
 
 
 def mean_rates(records) -> tuple[np.ndarray, np.ndarray]:

@@ -16,9 +16,9 @@ from conftest import make_models
 
 def _decoupled_site_model():
     """Two sites, no hopping, one bath on site 1: site 2 is unreachable."""
-    t_s = ps.embed_gauge_invariant(np.diag([0.3, 0.7]), "generator")
-    kappa_s = ps.embed_gauge_invariant(np.eye(2), "generator")
-    kappa_b = ps.embed_gauge_invariant(np.eye(1), "generator")
+    t_s = ps.embed_gauge_invariant(np.diag([0.3, 0.7]))
+    kappa_s = ps.embed_gauge_invariant(np.eye(2))
+    kappa_b = ps.embed_gauge_invariant(np.eye(1))
     theta = ps.embed_gauge_invariant_coupling(np.array([[1.0], [0.0]]))
     bath = BathSpec(beta=0.6, kappa=kappa_b, theta=theta)
     return ThermalQuasiFreeModel(t_s=t_s, kappa_s=kappa_s, baths=(bath,))
@@ -102,9 +102,9 @@ class TestKalman:
     def test_dark_combination_in_degenerate_eigenspace(self):
         # two equal-energy sites fed by one bath in phase: the antisymmetric
         # combination is dark, although no single site is unreachable
-        t_s = ps.embed_gauge_invariant(np.diag([0.5, 0.5]), "generator")
-        kappa_s = ps.embed_gauge_invariant(np.eye(2), "generator")
-        kappa_b = ps.embed_gauge_invariant(np.eye(1), "generator")
+        t_s = ps.embed_gauge_invariant(np.diag([0.5, 0.5]))
+        kappa_s = ps.embed_gauge_invariant(np.eye(2))
+        kappa_b = ps.embed_gauge_invariant(np.eye(1))
         theta = ps.embed_gauge_invariant_coupling(np.array([[1.0], [1.0]]))
         bath = BathSpec(beta=0.6, kappa=kappa_b, theta=theta)
         model = ThermalQuasiFreeModel(t_s=t_s, kappa_s=kappa_s, baths=(bath,))

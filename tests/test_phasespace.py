@@ -158,6 +158,6 @@ class TestValidation:
     def test_gauge_invariant_embeddings(self, rng):
         h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = h + h.conj().T
-        ps.validate_generator(ps.embed_gauge_invariant(h, "generator"))
+        ps.validate_generator(ps.embed_gauge_invariant(h))
         col = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
         ps.validate_coupling(ps.embed_gauge_invariant_coupling(col))

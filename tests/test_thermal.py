@@ -19,7 +19,7 @@ class TestValidate:
         assert max(report.values()) < 1e-12
 
     def test_noncommuting_pseudo_energy_flagged(self, chain2):
-        bad_kappa = ps.embed_gauge_invariant(np.diag([1.0, 2.0]), "generator")
+        bad_kappa = ps.embed_gauge_invariant(np.diag([1.0, 2.0]))
         bad = ThermalQuasiFreeModel(t_s=chain2.t_s, kappa_s=bad_kappa, baths=chain2.baths)
         with pytest.raises(ValidationError) as err:
             thermal.validate(bad)

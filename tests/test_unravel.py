@@ -1,3 +1,6 @@
+import functools
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -80,7 +83,7 @@ class TestChannels:
         assert np.max(np.abs(ctx.weights(h) - expected)) < 1e-12
 
     def test_multimode_bath_rejected(self, chain2m):
-        kappa2 = ps.embed_gauge_invariant(np.eye(2), "generator")
+        kappa2 = ps.embed_gauge_invariant(np.eye(2))
         theta2 = ps.embed_gauge_invariant_coupling(np.array([[1.0, 0.0], [0.0, 1.0]]))
         model = ThermalQuasiFreeModel(
             t_s=chain2m.t_s,
@@ -207,6 +210,94 @@ class TestWaitingTimes:
             rate = np.trace(phi_one @ vec_state).real
             ks = stats.kstest(waits[state], "expon", args=(0, 1.0 / rate))
             assert ks.pvalue > 0.01
+
+
+def _bisect_invert(solver, coef, target, t_max):
+    """Reference inversion: 64 bisection steps on s(t) = Re sum c e^{mu t}."""
+
+    def s(t):
+        return float(np.real(coef @ np.exp(solver.mu * t)))
+
+    if s(t_max) > target:
+        return None
+    lo, hi = 0.0, t_max
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if s(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _post_jump_coefficients(ctx, rng, count):
+    """Survival coefficients of normalized post-jump states of random density matrices."""
+    d = ctx.rates.shape[1]
+    out = []
+    for k in range(count):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = ctx.channels[k % len(ctx.channels)].apply(a @ a.conj().T)
+        out.append(ctx.solver.coefficients(h / np.trace(h).real))
+    return out
+
+
+class TestInvert:
+    MODELS = {
+        "chain2": lambda: chain.build(chain.ChainSpec(length=2)),
+        "chain3": lambda: chain.build(chain.ChainSpec(length=3)),
+        # complex couplings: oscillating survival terms
+        "tr_broken": lambda: make_models(44, 1, n_modes=2, n_baths=3, kind="tr_broken")[0],
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_bisection(self, name):
+        ctx = unravel._make_context(self.MODELS[name]())
+        solver = ctx.solver
+        rng = np.random.default_rng(17)
+        calls = 0
+        for coef in _post_jump_coefficients(ctx, rng, 12):
+            for t_max in (0.3, 4.0, 50.0):
+                s_end = float(np.real(coef @ np.exp(solver.mu * t_max)))
+                targets = [0.5 * s_end, s_end, 1.0, *np.geomspace(s_end, 1.0, 9)[1:-1], *rng.uniform(s_end, 1.0, 4)]
+                for u in targets:
+                    before = solver.evaluations
+                    got = solver.invert(coef, u, t_max)
+                    ref = _bisect_invert(solver, coef, u, t_max)
+                    assert (got is None) == (s_end > u)
+                    assert (ref is None) == (got is None)
+                    if got is not None:
+                        calls += 1
+                        assert 0.0 <= got <= t_max
+                        assert abs(got - ref) <= 1e-12 * max(1.0, ref)
+                    else:
+                        assert solver.evaluations - before == 1
+        if name == "chain2":
+            assert solver.evaluations / calls <= 6.0
+
+    @pytest.mark.parametrize("length,n_traj", [(2, 200), (3, 50)])
+    def test_same_trajectories_as_bisection(self, monkeypatch, length, n_traj):
+        model = chain.build(chain.ChainSpec(length=length))
+        rho0 = fock.quasi_free_state(dynamics.stationary_covariance(model)).density
+        ctx = unravel._make_context(model)
+        ref_ctx = unravel._make_context(model)
+        monkeypatch.setattr(ref_ctx.solver, "invert", functools.partial(_bisect_invert, ref_ctx.solver))
+        new = [unravel.simulate(model, rho0, 50.0, seed=s, _context=ctx) for s in range(n_traj)]
+        ref = [unravel.simulate(model, rho0, 50.0, seed=s, _context=ref_ctx) for s in range(n_traj)]
+        assert unravel.records_to_csv(new) == unravel.records_to_csv(ref)
+        for a, b in zip(new, ref):
+            assert [j[1:] for j in a.jumps] == [j[1:] for j in b.jumps]
+            ta = np.array([j[0] for j in a.jumps])
+            tb = np.array([j[0] for j in b.jumps])
+            assert np.all(np.abs(ta - tb) <= 1e-12 * tb)
+
+    def test_batch_logs_evaluations(self, chain2_setup, caplog):
+        model, rho0, _ = chain2_setup
+        with caplog.at_level(logging.DEBUG, logger="fermiflux.unravel"):
+            recs = unravel.simulate_batch(model, rho0, 20.0, 5, base_seed=3)
+        words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.unravel"][-1].split()
+        assert words[1:3] == ["trajectories,", str(sum(r.n_jumps for r in recs))]
+        assert int(words[0]) == 5
+        assert 1.0 <= float(words[4]) <= 6.0
 
 
 @pytest.fixture(scope="module")
