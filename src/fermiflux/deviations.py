@@ -74,7 +74,7 @@ from .thermal import ThermalQuasiFreeModel
 
 SPLIT_TOL = 1e-8
 ALPHA_MAX = 50.0
-# golden-section bracket width of the rate-function maximization, stamped in the rate CSV
+# largest Newton step or bracket width at which a rate-function point stops, stamped in the rate CSV
 XTOL = 1e-10
 # failures of the spectral evaluation itself, reported as non-convergence
 NUMERIC_ERRORS = (DegenerateSpectrumError, NumericDegeneracyError, InternalConsistencyError)
@@ -265,6 +265,65 @@ def e_two_bath(model: ThermalQuasiFreeModel, a: float) -> float:
     return e_alpha(model, np.array([a, 0.0]))
 
 
+def e_two_bath_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float, float]:
+    """e((a, 0)) with its first two derivatives in a, from one eigendecomposition per block.
+
+    Write Z_w = X diag(lambda) Y with Y = X^{-1}, and take M = Y Z_w' X and
+    N = Y Z_w'' X, the primes being d/da at the block's shifted point (only
+    bath 0's terms move: Z_w' = [[0, w e^{aw} C+_0], [-w e^{-aw} C-_0, 0]]
+    and Z_w'' = [[0, w^2 e^{aw} C+_0], [w^2 e^{-aw} C-_0, 0]]).  Perturbation
+    theory of the half-spectrum sum (Hellmann-Feynman) then gives
+
+        e'  = (1/2) Re sum_{k in +} M_kk,
+        e'' = (1/2) Re [sum_{k in +} N_kk + 2 sum_{k in +, j in -} M_kj M_jk / (lambda_k - lambda_j)],
+
+    with + and - the eigenvalues right and left of the imaginary axis.  The
+    ++ cross terms cancel in pairs, so every denominator is at least twice
+    the smallest |Re lambda|.  A block that one bath alone reaches adds
+    nothing to either derivative: its shift absorbs the tilt.  Raises
+    DegenerateSpectrumError unless every other block has m eigenvalues right
+    of the axis and none within SPLIT_TOL of it, and NumericDegeneracyError
+    when cond(X) (Frobenius norm) passes 1e12.
+    """
+    if model.n_baths != 2:
+        raise UnsupportedModelError("the scalar reduction needs exactly two baths")
+    alpha = np.array([a, 0.0])
+    blocks = _factors(model)
+    if any(not b.baths.size for b in blocks):
+        raise DegenerateSpectrumError("a kappa_S eigenspace is reached by no bath: the model is not ergodic")
+    abs_re, d1, d2 = 0.0, 0.0, 0.0
+    for b in blocks:
+        c = b.shift(alpha)
+        z = b.z(alpha - c)
+        if b.baths.size == 1:
+            abs_re += np.abs(np.linalg.eigvals(z).real).sum()
+            continue
+        m = b.a.shape[0]
+        lam, x = np.linalg.eig(z)
+        plus = lam.real > 0
+        margin = np.abs(lam.real).min()
+        if np.count_nonzero(plus) != m or margin < SPLIT_TOL:
+            raise DegenerateSpectrumError(
+                f"{np.count_nonzero(plus)} of {2 * m} eigenvalues right of the axis; "
+                f"smallest |Re| {margin:.1e}, limit {SPLIT_TOL:.1e}"
+            )
+        y = np.linalg.inv(x)
+        cond = np.linalg.norm(x) * np.linalg.norm(y)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise NumericDegeneracyError(f"eigenvector matrix is singular (cond {cond:.3e})")
+        abs_re += np.abs(lam.real).sum()
+        tilt = np.exp((a - c) * b.w)
+        # Y Z_w' X = p - q and Y Z_w'' X = w (p + q)
+        p = y[:, :m] @ ((tilt * b.w) * b.c_plus[0].reshape(m, m)) @ x[m:]
+        q = y[:, m:] @ ((b.w / tilt) * b.c_minus[0].reshape(m, m)) @ x[:m]
+        mm = p - q
+        cross = mm[plus][:, ~plus] * mm[~plus][:, plus].T / (lam[plus, None] - lam[None, ~plus])
+        d1 += 0.5 * np.diagonal(mm)[plus].sum().real
+        d2 += 0.5 * (b.w * np.diagonal(p + q)[plus].sum() + 2.0 * cross.sum()).real
+    e = 0.25 * abs_re - 0.25 * sum(b.trace for b in blocks)
+    return float(e), float(d1), float(d2)
+
+
 # ---------------------------------------------------------------------------
 # Legendre transform / rate function
 # ---------------------------------------------------------------------------
@@ -303,55 +362,46 @@ class RateCurve:
         return out.getvalue()
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+def _legendre_point(model: ThermalQuasiFreeModel, zeta: float, start: float, alpha_max: float, counts: dict):
+    """The maximizer of a zeta - e((a, 0)) on |a| <= alpha_max: the root of e'(a) = zeta.
 
-
-def _golden_max(f, lo, hi):
-    """Golden-section maximization of a concave function inside a bracket, to width XTOL."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > XTOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _maximize_concave(f, start, alpha_max):
-    """Expanding bracket around ``start`` followed by golden-section refinement.
-
-    Returns ``(x*, f(x*), converged)``; converged is False when the walk hits
-    the |alpha| <= alpha_max guard (supremum effectively unattained there).
+    e is convex, so e' - zeta is increasing: by its sign, each evaluation
+    moves one end of a bracket [lo, hi] onto the point.  Newton starts from
+    ``start``.  Once both ends are set, a step that leaves the bracket, or
+    one longer than half the step before last (the rtsafe rule against
+    cycling), bisects it instead; until then a step is taken as it is,
+    except that one reaching past +-alpha_max evaluates that bound.  Stops
+    once a step or the bracket is within XTOL.  Returns ``(a, e(a),
+    converged)``; at a bound where e' - zeta has not changed sign the
+    supremum is not attained and converged is False.
     """
-    step = 0.25
-    x0 = float(np.clip(start, -alpha_max, alpha_max))
-    f0 = f(x0)
+    lo, hi = -np.inf, np.inf
+    a = float(np.clip(start, -alpha_max, alpha_max))
+    step = older = np.inf
     while True:
-        lo = max(x0 - step, -alpha_max)
-        hi = min(x0 + step, alpha_max)
-        flo, fhi = f(lo), f(hi)
-        if f0 >= flo and f0 >= fhi:
-            x, fx = _golden_max(f, lo, hi)
-            if fx < f0:
-                x, fx = x0, f0
-            return x, fx, True
-        if fhi > flo:
-            x0, f0 = hi, fhi
-            if x0 >= alpha_max:
-                return alpha_max, f0, False
+        e, d1, d2 = e_two_bath_derivatives(model, a)
+        counts["evaluations"] += 1
+        g = d1 - zeta
+        if g == 0.0:
+            return a, e, True
+        bound = alpha_max if g < 0 else -alpha_max
+        if a == bound:
+            return a, e, False
+        if g < 0:
+            lo = a
         else:
-            x0, f0 = lo, flo
-            if x0 <= -alpha_max:
-                return -alpha_max, f0, False
-        step *= 2.0
+            hi = a
+        nxt, kind = (a - g / d2 if d2 > 0 else bound), "newton"
+        if np.isinf(hi - lo):
+            if (nxt - bound) * g <= 0:
+                nxt, kind = bound, "probes"
+        elif not (lo <= nxt <= hi and abs(nxt - a) <= 0.5 * abs(older)):
+            nxt, kind = 0.5 * (lo + hi), "bisections"
+        older, step = step, nxt - a
+        if kind != "probes" and (abs(step) <= XTOL or hi - lo <= XTOL):
+            return a, e, True
+        counts[kind] += 1
+        a = nxt
 
 
 def rate_function(
@@ -363,38 +413,35 @@ def rate_function(
     """Legendre transform I(zeta) = sup_a (a zeta - e((a,0))) on a grid.
 
     Two-bath models only (the supremum is one-dimensional after the
-    translation invariance e(alpha + c 1) = e(alpha)).  Each maximization is
-    warm-started from the previous grid point's maximizer; points where the
-    walk escapes |alpha| <= alpha_max, or where an evaluation of e inside
-    the search fails numerically (one of NUMERIC_ERRORS), are reported as
-    I = +inf with ``converged`` False, and the next point is searched.
+    translation invariance e(alpha + c 1) = e(alpha)).  Each point solves
+    e'(a) = zeta by safeguarded Newton (``_legendre_point``), warm-started
+    from the previous grid point's maximizer; points whose root lies beyond
+    |alpha| <= alpha_max, or where an evaluation inside the search fails
+    numerically (one of NUMERIC_ERRORS), are reported as I = +inf with
+    ``converged`` False, and the next point is searched.
     """
     if model.n_baths != 2:
         raise UnsupportedModelError("rate_function needs a two-bath model")
     zeta_grid = np.asarray(zeta_grid, dtype=float)
-    cache: dict[float, float] = {}
-
-    def e_of(a: float) -> float:
-        if a not in cache:
-            cache[a] = e_two_bath(model, a)
-        return cache[a]
-
+    counts = dict.fromkeys(("evaluations", "newton", "bisections", "probes"), 0)
     points = []
     warm = 0.0
-    for zeta in zeta_grid:
-        def obj(a, _z=float(zeta)):
-            return a * _z - e_of(a)
-
+    for zeta in map(float, zeta_grid):
         try:
-            astar, val, converged = _maximize_concave(obj, warm, alpha_max)
+            astar, e, converged = _legendre_point(model, zeta, warm, alpha_max, counts)
         except NUMERIC_ERRORS:
-            points.append(RatePoint(zeta=float(zeta), rate=np.inf, alpha_star=np.nan, converged=False))
+            points.append(RatePoint(zeta=zeta, rate=np.inf, alpha_star=np.nan, converged=False))
             continue
         if not converged:
-            points.append(RatePoint(zeta=float(zeta), rate=np.inf, alpha_star=float(astar), converged=False))
+            points.append(RatePoint(zeta=zeta, rate=np.inf, alpha_star=astar, converged=False))
         else:
-            points.append(RatePoint(zeta=float(zeta), rate=float(val), alpha_star=float(astar), converged=True))
+            points.append(RatePoint(zeta=zeta, rate=astar * zeta - e, alpha_star=astar, converged=True))
             warm = astar
+    n = max(len(points), 1)
+    log.debug(
+        "%d points, %.2f evaluations and %.2f Newton steps per point, %d bisections, %d probes of +-alpha_max",
+        len(points), counts["evaluations"] / n, counts["newton"] / n, counts["bisections"], counts["probes"],
+    )
     meta = dict(metadata or {})
     meta.setdefault("alpha_max", alpha_max)
     meta.setdefault("xtol", XTOL)

@@ -219,7 +219,9 @@ def _failing_past(fn, limit):
 
 class TestNumericFailure:
     def test_rate_marks_points_and_exits_4(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(deviations, "e_two_bath", _failing_past(deviations.e_two_bath, 1.0))
+        monkeypatch.setattr(
+            deviations, "e_two_bath_derivatives", _failing_past(deviations.e_two_bath_derivatives, 1.0)
+        )
         out = tmp_path / "rate.csv"
         code = run_cli([
             "rate", "--chain-L", "2", "--zeta-min", "0.05", "--zeta-max", "0.5",

@@ -254,7 +254,8 @@ class TestRateFunction:
     def test_csv_round_formatting(self, chain2):
         curve = deviations.rate_function(chain2, [0.0, 0.05], metadata={"model": "chain2"})
         text = curve.to_csv()
-        assert text.splitlines()[0].startswith("#")
+        # the metadata only: no timings or evaluation counts
+        assert text.splitlines()[:3] == ["# model: chain2", "# alpha_max: 50.0", "# xtol: 1e-10"]
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header == "zeta,I,alpha_star,converged"
 
@@ -262,6 +263,132 @@ class TestRateFunction:
         model = make_models(13, 1, n_baths=3)[0]
         with pytest.raises(UnsupportedModelError):
             deviations.rate_function(model, [0.0])
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("length", range(2, 11))
+    def test_slope_at_zero_is_the_flux(self, length):
+        spec = chain.ChainSpec(length=length)
+        _, d1, _ = deviations.e_two_bath_derivatives(chain.build(spec), 0.0)
+        assert abs(d1 - chain.closed_form(spec).flux) <= 1e-12
+
+    def test_against_central_differences(self):
+        models = [chain.build(chain.ChainSpec(length=n)) for n in (2, 5)]
+        models.append(chain.build(chain.ChainSpec(length=3, beta0=10.0, betaL=0.0)))
+        r = np.random.default_rng(31)
+        for kind, n in (("uniform", 2), ("uniform", 3), ("spectral", 2), ("spectral", 3), ("spectral", 4)):
+            models.append(random_thermal_model(r, n_modes=n, n_baths=2, kind=kind))
+        # the L=2 pairing draw has e = 0 identically, the other two do not
+        assert max(abs(deviations.e_two_bath(models[-3], a)) for a in (-3.0, 5.0)) <= 1e-12
+        assert min(abs(deviations.e_two_bath(m, 2.0)) for m in models[-2:]) > 1e-3
+        for model in models:
+            def e(x):
+                return deviations.e_two_bath(model, x)
+
+            for a in (-3.0, -1.0, 0.5, 2.0, 5.0):
+                e0, d1, d2 = deviations.e_two_bath_derivatives(model, a)
+                assert abs(e0 - e(a)) <= 1e-12 * max(1.0, abs(e0))
+                h, k = 1e-4, 1e-3
+                assert abs(d1 - (e(a + h) - e(a - h)) / (2 * h)) <= 1e-8 * max(1.0, abs(d1))
+                assert abs(d2 - (e(a + k) - 2 * e0 + e(a - k)) / k**2) <= 1e-6 * max(1.0, abs(d2))
+
+
+def _golden_legendre(model, zetas, alpha_max=deviations.ALPHA_MAX, xtol=1e-10):
+    """Reference I(zeta): an expanding bracket and golden section on a zeta - e_two_bath(a), warm-started."""
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    out, warm = [], 0.0
+    for zeta in zetas:
+        def f(a):
+            return a * zeta - deviations.e_two_bath(model, a)
+
+        x0, step = warm, 0.25
+        f0 = f(x0)
+        while True:
+            lo, hi = max(x0 - step, -alpha_max), min(x0 + step, alpha_max)
+            flo, fhi = f(lo), f(hi)
+            if f0 >= flo and f0 >= fhi:
+                break
+            x0, f0 = (hi, fhi) if fhi > flo else (lo, flo)
+            assert abs(x0) < alpha_max
+            step *= 2.0
+        a, b = lo, hi
+        x1, x2 = b - g * (b - a), a + g * (b - a)
+        f1, f2 = f(x1), f(x2)
+        while b - a > xtol:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + g * (b - a)
+                f2 = f(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - g * (b - a)
+                f1 = f(x1)
+        warm = 0.5 * (a + b)
+        out.append(max(f(warm), f0))
+    return np.array(out)
+
+
+class TestLegendreNewton:
+    GRID = np.linspace(-0.1, 0.3, 200)
+    CASES = (
+        (chain.ChainSpec(length=2), GRID[40:48]),
+        (chain.ChainSpec(length=6, theta0=0.95, thetaL=1.05, beta0=1.1, betaL=0.05), GRID[150:158]),
+        (chain.ChainSpec(length=2), np.linspace(-1.0, -0.3, 4)),
+        (chain.ChainSpec(length=2), np.linspace(1.5, 3.0, 4)),
+    )
+
+    @pytest.mark.parametrize("spec,zetas", CASES, ids=["L2-window", "L6-window", "L2-tail-", "L2-tail+"])
+    def test_matches_golden_section(self, spec, zetas, monkeypatch):
+        model = chain.build(spec)
+        ref = _golden_legendre(model, zetas)
+        calls = []
+        inner = deviations.e_two_bath_derivatives
+
+        def counted(m, a):
+            calls.append(a)
+            return inner(m, a)
+
+        monkeypatch.setattr(deviations, "e_two_bath_derivatives", counted)
+        curve = deviations.rate_function(model, zetas)
+        assert all(p.converged for p in curve.points)
+        assert np.max(np.abs(curve.rates - ref)) <= 1e-12
+        assert len(calls) <= 8 * len(zetas)
+        for p in curve.points:
+            _, d1, _ = inner(model, p.alpha_star)
+            assert abs(d1 - p.zeta) <= 1e-9
+
+    @pytest.mark.parametrize("start", [1.3917452002707348, 3.0, -20.0])
+    def test_bracket_rescues_newton(self, chain2, monkeypatch, start):
+        # with e'(a) = arctan(a), plain Newton for e'(a) = 0 cycles between
+        # +-1.3917452 and overshoots from further out
+        def arctan_cgf(model, a):
+            calls.append(a)
+            assert len(calls) <= 20
+            return a * np.arctan(a) - 0.5 * np.log1p(a * a), np.arctan(a), 1.0 / (1.0 + a * a)
+
+        calls = []
+        monkeypatch.setattr(deviations, "e_two_bath_derivatives", arctan_cgf)
+        counts = dict.fromkeys(("evaluations", "newton", "bisections", "probes"), 0)
+        a, _, converged = deviations._legendre_point(chain2, 0.0, start, 50.0, counts)
+        assert converged and abs(a) <= 1e-10
+        assert counts["bisections"] >= 1 and counts["evaluations"] == len(calls)
+
+    def test_unattained_supremum_at_the_bound(self, chain2):
+        zetas = np.array([-0.3, -0.1, 0.2, 0.3])
+        curve = deviations.rate_function(chain2, zetas, alpha_max=0.05)
+        for p in curve.points:
+            assert not p.converged and p.rate == np.inf
+            assert p.alpha_star == (0.05 if p.zeta > 0 else -0.05)
+
+    def test_logs_evaluations(self, chain2, caplog):
+        zetas = np.linspace(0.0, 0.2, 5)
+        with caplog.at_level(logging.DEBUG, logger="fermiflux.deviations"):
+            deviations.rate_function(chain2, zetas)
+        words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.deviations"][-1].split()
+        assert words[:2] == ["5", "points,"]
+        assert 1.0 <= float(words[2]) <= 8.0
+        assert 0.0 <= float(words[5]) < float(words[2])
+        assert words[10:12] == ["0", "bisections,"]
 
 
 def _half_spectrum_e(model, a):
@@ -361,7 +488,7 @@ class TestSectorSplit:
                     assert np.any(b.c_minus[i]) == coupled
 
     def test_rate_tails_converge_against_fock(self, chain2):
-        # the expanding bracket walks out to |alpha| ~ 20 on these tails
+        # alpha* reaches 9.5 on these tails, where Fock still agrees to rounding
         for tail in (np.linspace(-1.0, -0.3, 4), np.linspace(1.5, 3.0, 4)):
             for p in deviations.rate_function(chain2, tail).points:
                 assert p.converged

@@ -180,6 +180,14 @@ class TestSimulate:
         c_theory = sum(np.linalg.norm(so.kraus_map(c.kraus), 2) for c in ctx.channels)
         assert c_fit <= 2.0 * c_theory
 
+    def test_channel_draw_matches_generator_choice(self, chain2_setup, monkeypatch):
+        model, rho0, _ = chain2_setup
+        new = unravel.simulate_batch(model, rho0, 50.0, 200, base_seed=11)
+        monkeypatch.setattr(unravel, "_draw_channel", lambda rng, p: int(rng.choice(len(p), p=p)))
+        ref = unravel.simulate_batch(model, rho0, 50.0, 200, base_seed=11)
+        assert sum(r.n_jumps for r in ref) > 1000
+        assert unravel.records_to_csv(new) == unravel.records_to_csv(ref)
+
 
 def _jump_channel_indices(rec, ctx):
     keys = [(c.bath, c.delta) for c in ctx.channels]
