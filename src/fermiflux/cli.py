@@ -202,13 +202,16 @@ def _parse_alpha(text: str) -> np.ndarray:
 
 
 def cmd_e_alpha(args) -> int:
+    alphas = [_parse_alpha(text) for text in args.alpha]
     model = _load_validated(args)
+    for text, a in zip(args.alpha, alphas):
+        if a.size != model.n_baths:
+            raise UsageError(f"--alpha {text!r} needs one entry per bath ({model.n_baths}), got {a.size}")
     dynamics.require_ergodic(model)
     out = io.StringIO()
     out.write(_header(model))
     out.write(",".join(f"alpha_{i}" for i in range(model.n_baths)) + ",e\n")
-    for text in args.alpha:
-        a = _parse_alpha(text)
+    for text, a in zip(args.alpha, alphas):
         try:
             e = deviations.e_alpha(model, a)
         except deviations.NUMERIC_ERRORS as exc:
@@ -361,6 +364,8 @@ def cmd_machine(args) -> int:
             raise UsageError("--synthesize needs --beta")
         target = _parse_alpha(args.synthesize)
         betas = _parse_alpha(args.beta)
+        if target.size != betas.size:
+            raise UsageError(f"--synthesize needs one entry per --beta ({betas.size}), got {target.size}")
         machine = machines.synthesize(target, betas)
         achieved = machine.fluxes()
         out.write("bath,beta,J_target,J_achieved\n")

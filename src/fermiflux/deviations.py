@@ -66,6 +66,7 @@ from .errors import (
     DegenerateSpectrumError,
     InternalConsistencyError,
     MalformedInputError,
+    NotErgodicError,
     NumericDegeneracyError,
     UnsupportedModelError,
 )
@@ -163,6 +164,14 @@ def _factors(model: ThermalQuasiFreeModel) -> tuple:
     return f
 
 
+def _ergodic_factors(model: ThermalQuasiFreeModel) -> tuple:
+    """The blocks of ``model``, refused if a kappa_S eigenspace is reached by no bath."""
+    blocks = _factors(model)
+    if any(not b.baths.size for b in blocks):
+        raise NotErgodicError("a kappa_S eigenspace is reached by no bath: the model is not ergodic")
+    return blocks
+
+
 def _check_alpha(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (model.n_baths,):
@@ -186,12 +195,10 @@ def e_alpha(model: ThermalQuasiFreeModel, alpha) -> float:
     """Cumulant generating function (1/4) sum_w sum |Re lambda(Z_w)| - (1/4) sum_w trace_w.
 
     Ergodicity is the caller's precondition (``dynamics.require_ergodic``):
-    only a block that no bath reaches is refused here.
+    only a block that no bath reaches is refused here, with NotErgodicError.
     """
     alpha = _check_alpha(model, alpha)
-    blocks = _factors(model)
-    if any(not b.baths.size for b in blocks):
-        raise DegenerateSpectrumError("a kappa_S eigenspace is reached by no bath: the model is not ergodic")
+    blocks = _ergodic_factors(model)
     abs_re = sum(np.abs(np.linalg.eigvals(b.z(alpha - b.shift(alpha))).real).sum() for b in blocks)
     return float(0.25 * abs_re - 0.25 * sum(b.trace for b in blocks))
 
@@ -213,10 +220,11 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
     eigenvalues as [V1; V2] gives X_w = V2 V1^{-1}, and X = sum_w U_w X_w U_w^*.
     The eigenvalues are read off the Schur diagonals, none within SPLIT_TOL of
     the imaginary axis.  The deformed semigroup's dominant eigenvector is the
-    Gaussian state of covariance (1 + X)^{-1}.
+    Gaussian state of covariance (1 + X)^{-1}.  A block that no bath reaches
+    is refused with NotErgodicError.
     """
     alpha = _check_alpha(model, alpha)
-    blocks = _factors(model)
+    blocks = _ergodic_factors(model)
     n = 2 * model.n_modes
     x = np.zeros((n, n), dtype=complex)
     abs_re, trace = 0.0, 0.0
@@ -258,13 +266,6 @@ def riccati_residual(model: ThermalQuasiFreeModel, alpha, x: np.ndarray) -> floa
     return float(np.linalg.norm(r, 2))
 
 
-def e_two_bath(model: ThermalQuasiFreeModel, a: float) -> float:
-    """Reduced scalar CGF e((a, 0)) for two-bath models; e(a1,a2) = e(a1-a2, 0)."""
-    if model.n_baths != 2:
-        raise UnsupportedModelError("the scalar reduction needs exactly two baths")
-    return e_alpha(model, np.array([a, 0.0]))
-
-
 def e_two_bath_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float, float]:
     """e((a, 0)) with its first two derivatives in a, from one eigendecomposition per block.
 
@@ -281,16 +282,15 @@ def e_two_bath_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[floa
     ++ cross terms cancel in pairs, so every denominator is at least twice
     the smallest |Re lambda|.  A block that one bath alone reaches adds
     nothing to either derivative: its shift absorbs the tilt.  Raises
-    DegenerateSpectrumError unless every other block has m eigenvalues right
-    of the axis and none within SPLIT_TOL of it, and NumericDegeneracyError
-    when cond(X) (Frobenius norm) passes 1e12.
+    NotErgodicError if a block is reached by no bath, DegenerateSpectrumError
+    unless every other block has m eigenvalues right of the axis and none
+    within SPLIT_TOL of it, and NumericDegeneracyError when cond(X)
+    (Frobenius norm) passes 1e12.
     """
     if model.n_baths != 2:
         raise UnsupportedModelError("the scalar reduction needs exactly two baths")
     alpha = np.array([a, 0.0])
-    blocks = _factors(model)
-    if any(not b.baths.size for b in blocks):
-        raise DegenerateSpectrumError("a kappa_S eigenspace is reached by no bath: the model is not ergodic")
+    blocks = _ergodic_factors(model)
     abs_re, d1, d2 = 0.0, 0.0, 0.0
     for b in blocks:
         c = b.shift(alpha)
@@ -418,7 +418,8 @@ def rate_function(
     from the previous grid point's maximizer; points whose root lies beyond
     |alpha| <= alpha_max, or where an evaluation inside the search fails
     numerically (one of NUMERIC_ERRORS), are reported as I = +inf with
-    ``converged`` False, and the next point is searched.
+    ``converged`` False, and the next point is searched.  A model with a
+    kappa_S eigenspace that no bath reaches raises NotErgodicError instead.
     """
     if model.n_baths != 2:
         raise UnsupportedModelError("rate_function needs a two-bath model")

@@ -61,12 +61,6 @@ def depolarizing(sigma: np.ndarray, rate: float, dim_left: int = 1, dim_right: i
     return np.array(kraus)
 
 
-def _bath_stacks(n_baths: int, dim: int, stacks: dict) -> tuple:
-    """Kraus stacks in bath order from ``{bath: stack}``; unlisted baths get an empty stack."""
-    empty = np.zeros((0, dim, dim), dtype=complex)
-    return tuple(stacks.get(i, empty) for i in range(n_baths))
-
-
 def tensor_models(a: so.LindbladModel, b: so.LindbladModel) -> so.LindbladModel:
     """Independent composition on the tensor product; fluxes add bathwise."""
     if a.betas != b.betas:
@@ -173,37 +167,30 @@ class ComposedMachine:
         return out
 
 
-def _idle_qubit(bath: int, betas) -> so.LindbladModel:
-    """A single bath relaxing its own qubit: a valid thermal piece with zero flux."""
-    k = np.diag([0.0, 1.0]).astype(complex)
+def _on_baths(model: so.LindbladModel, baths, betas) -> so.LindbladModel:
+    """``model`` with its local bath k moved to global bath ``baths[k]``; the other baths get empty stacks."""
+    stacks = dict(zip(baths, model.kraus))
+    empty = np.zeros((0, model.dim, model.dim), dtype=complex)
     return so.LindbladModel(
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        k_system=k,
+        hamiltonian=model.hamiltonian,
+        k_system=model.k_system,
         betas=tuple(betas),
-        kraus=_bath_stacks(len(betas), 2, {bath: depolarizing(gibbs_qubit(1.0, betas[bath]), 1.0)}),
+        kraus=tuple(stacks.get(i, empty) for i in range(len(betas))),
     )
 
 
 def _pair_machine(i: int, j: int, target: float, betas) -> so.LindbladModel:
-    """Two depolarizing channels on one qubit moving ``target`` into bath i.
+    """The two-channel bridge on one qubit between baths i and j, moving ``target`` into bath i.
 
-    Requires (beta_i - beta_j) * target > 0; rates are set in closed form.
+    Requires (beta_i - beta_j) * target > 0; both rates equal, set in closed form.
     """
-    bi, bj = betas[i], betas[j]
-    sig_i = gibbs_qubit(1.0, bi)
-    sig_j = gibbs_qubit(1.0, bj)
+    sig_i, sig_j = gibbs_qubit(1.0, betas[i]), gibbs_qubit(1.0, betas[j])
     k = np.diag([0.0, 1.0])
-    drive = np.trace(k @ (sig_j - sig_i)).real  # flux into i per unit reduced rate
+    _, drive = two_channel_flux(sig_i, sig_j, 2.0, 2.0, k)  # flux into i at reduced rate 1
     if target * drive <= 0:
         raise InfeasibleError("pair target incompatible with the temperature ordering")
-    mu = target / drive  # lam1 lam2 / (lam1 + lam2)
-    lam = 2.0 * mu
-    return so.LindbladModel(
-        hamiltonian=np.zeros((2, 2), dtype=complex),
-        k_system=k.astype(complex),
-        betas=tuple(betas),
-        kraus=_bath_stacks(len(betas), 2, {i: depolarizing(sig_i, lam), j: depolarizing(sig_j, lam)}),
-    )
+    lam = 2.0 * (target / drive)
+    return _on_baths(two_channel_model(sig_i, sig_j, lam, lam, k, (betas[i], betas[j])), (i, j), betas)
 
 
 def _calibrated_fridge(j_target, bath_indices, betas) -> so.LindbladModel:
@@ -218,14 +205,7 @@ def _calibrated_fridge(j_target, bath_indices, betas) -> so.LindbladModel:
     scale = np.max(np.abs(j_target))
     e1, e2, e3 = j_target[0] / scale, -j_target[1] / scale, j_target[2] / scale
     sel_betas = [betas[k] for k in bath_indices]
-    base = fridge(
-        e1,
-        e3,
-        betas=sel_betas,
-        rates=(1.0, 1.0, 1.0),
-        g=0.5,
-        h=1.0,
-    )
+    base = fridge(e1, e3, betas=sel_betas, rates=(1.0, 1.0, 1.0), g=0.5, h=1.0)
     alpha, resid = fridge_alpha(base, (e1, e2, e3))
     if abs(alpha) < 1e-12:
         raise InfeasibleError("fridge stalled: zero proportionality coefficient")
@@ -234,75 +214,56 @@ def _calibrated_fridge(j_target, bath_indices, betas) -> so.LindbladModel:
     mu = scale / alpha
     if mu <= 0:
         raise InfeasibleError("fridge drives the targeted fluxes backwards")
-    fitted = base.scaled(mu)
-    # remap bath labels from the fridge-local (0,1,2) to the global indices
-    return so.LindbladModel(
-        hamiltonian=fitted.hamiltonian,
-        k_system=fitted.k_system,
-        betas=tuple(betas),
-        kraus=_bath_stacks(len(betas), fitted.dim, dict(zip(bath_indices, fitted.kraus))),
-    )
+    return _on_baths(base.scaled(mu), bath_indices, betas)
 
 
 def synthesize(j_target, betas) -> ComposedMachine:
     """A machine whose stationary fluxes equal ``j_target``.
 
     Requires sum(J) = 0, strictly positive entropy production and pairwise
-    distinct temperatures.  Follows the inductive three-bath reduction: peel
-    off bath 1 with a calibrated fridge on baths (1, 2, 3) designed to leave a
-    residual problem with half the entropy production, recurse, and compose.
+    distinct temperatures.  Follows the inductive three-bath reduction over
+    the baths sorted hottest first: a calibrated fridge on the hottest
+    remaining bath and the next two takes all of the first bath's flux and a
+    share (half, if that leaves no zero flux) of the entropy production, and
+    the last two baths are joined by one bridge.  A bath whose flux is
+    already zero gets no component, so every component carries flux: at most
+    n - 2 fridges and one bridge.
     """
-    j_target = np.asarray(j_target, dtype=float)
+    j = np.array(j_target, dtype=float)
     betas = tuple(float(b) for b in betas)
     n = len(betas)
-    if j_target.shape != (n,):
+    if j.shape != (n,):
         raise MalformedInputError("flux target and temperature list sizes differ")
     if n < 2:
         raise MalformedInputError("need at least two baths")
     if len(set(betas)) != n:
         raise InfeasibleError("temperatures must be pairwise distinct")
-    if abs(j_target.sum()) > 1e-9:
-        raise InfeasibleError(f"first law violated: sum J = {j_target.sum():.3e}")
-    eps = float(np.asarray(betas) @ j_target)
+    if abs(j.sum()) > 1e-9:
+        raise InfeasibleError(f"first law violated: sum J = {j.sum():.3e}")
+    eps = float(np.asarray(betas) @ j)
     if eps <= 1e-9:
         raise InfeasibleError(f"entropy production must be strictly positive, got {eps:.3e}")
 
-    order = np.argsort(betas)  # ascending: hottest first
-    machine = ComposedMachine(betas=betas)
-    _synthesize_sorted(j_target.copy(), list(order), betas, machine)
-    return machine
-
-
-def _synthesize_sorted(j, order, betas, machine):
-    """Recursive peeling on the baths listed (ascending beta) in ``order``."""
-    active = list(order)
-    eps = float(sum(betas[k] * j[k] for k in active))
-    if len(active) == 2:
-        i_hot, i_cold = active
-        if abs(j[i_hot]) <= ZERO_FLUX:
-            machine.components.append(_idle_qubit(i_hot, betas))
-            machine.components.append(_idle_qubit(i_cold, betas))
-            return
-        machine.components.append(_pair_machine(i_cold, i_hot, j[i_cold], betas))
-        return
-    i1, i2, i3 = active[0], active[1], active[2]
-    if abs(j[i1]) <= ZERO_FLUX:
-        machine.components.append(_idle_qubit(i1, betas))
-        _synthesize_sorted(j, active[1:], betas, machine)
-        return
-    b1, b2, b3 = betas[i1], betas[i2], betas[i3]
-    for split in (0.5, 0.25, 0.75, 0.4):
-        jt1 = j[i1]
-        jt2 = (b1 - b3) / (b3 - b2) * jt1 - split * eps / (b3 - b2)
-        jt3 = (b2 - b1) / (b3 - b2) * jt1 + split * eps / (b3 - b2)
-        if abs(jt2) > ZERO_FLUX and abs(jt3) > ZERO_FLUX:
-            break
-    else:
-        raise InfeasibleError("could not find a nondegenerate three-bath split")
-    machine.components.append(_calibrated_fridge([jt1, jt2, jt3], [i1, i2, i3], betas))
-    j2 = j.copy()
-    j2[i1] = 0.0
-    j2[i2] -= jt2
-    j2[i3] -= jt3
-    machine.components.append(_idle_qubit(i1, betas))
-    _synthesize_sorted(j2, active[1:], betas, machine)
+    order = list(np.argsort(betas))  # ascending: hottest first
+    components = []
+    for k in range(n - 2):
+        i1, i2, i3 = order[k : k + 3]
+        if abs(j[i1]) <= ZERO_FLUX:
+            continue
+        eps = float(sum(betas[m] * j[m] for m in order[k:]))
+        b1, b2, b3 = betas[i1], betas[i2], betas[i3]
+        for split in (0.5, 0.25, 0.75, 0.4):
+            jt2 = (b1 - b3) / (b3 - b2) * j[i1] - split * eps / (b3 - b2)
+            jt3 = (b2 - b1) / (b3 - b2) * j[i1] + split * eps / (b3 - b2)
+            if abs(jt2) > ZERO_FLUX and abs(jt3) > ZERO_FLUX:
+                break
+        else:
+            raise InfeasibleError("could not find a nondegenerate three-bath split")
+        components.append(_calibrated_fridge([j[i1], jt2, jt3], [i1, i2, i3], betas))
+        j[i1] = 0.0
+        j[i2] -= jt2
+        j[i3] -= jt3
+    i_hot, i_cold = order[-2:]
+    if abs(j[i_hot]) > ZERO_FLUX:
+        components.append(_pair_machine(i_cold, i_hot, j[i_cold], betas))
+    return ComposedMachine(betas=betas, components=components)

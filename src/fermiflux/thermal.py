@@ -38,25 +38,6 @@ from .phasespace import Basis, CouplingMatrix, PhaseSpaceMatrix
 # slack of the no-fridge partial sums and of the hot-to-cold routing in the flux certificate
 NO_FRIDGE_TOL = 1e-9
 
-SCHEMA_DOC = """Model files are JSON documents with the following fields:
-
-    {
-      "L_S":    <int, system modes>,
-      "T_S":    <2L_S x 2L_S real antisymmetric matrix R_S, row-major>,
-      "kappa_S":<2L_S x 2L_S real antisymmetric matrix, row-major>,
-      "baths": [
-        {"beta": <float>,
-         "kappa": <2L_B x 2L_B real antisymmetric matrix, row-major>,
-         "Theta": <2L_S x 2L_B real matrix W, row-major>},
-        ...
-      ]
-    }
-
-All matrices are given in the Majorana basis through their real parts: the
-actual operators are T_S = i R_S, kappa = i R, Theta = i W (the i R / i W
-convention makes the structure constraints manifest as reality statements).
-"""
-
 
 @dataclass(frozen=True, eq=False)
 class BathSpec:

@@ -96,6 +96,9 @@ class TestFlux:
             ["rate", "--chain-L", "3-2"],
             ["e-alpha", "--chain-L", "2", "--alpha=a,b"],
             ["machine", "--synthesize", "1,-1"],
+            ["machine", "--synthesize", "1,-1", "--beta", "1,2,3"],
+            ["e-alpha", "--chain-L", "2", "--alpha", "0.3"],
+            ["e-alpha", "--chain-L", "2", "--alpha", "0.3,0", "--alpha", "1,2,3"],
             ["rate", "--chain-L", "2", "--points", "-1"],
             ["rate", "--chain-L", "2", "--alpha-max", "-1"],
             ["rate", "--chain-L", "2", "--zeta-min", "nan"],

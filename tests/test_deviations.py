@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 
 from fermiflux import chain, deviations, dynamics, fock, randgen, thermal
-from fermiflux.errors import MalformedInputError, UnsupportedModelError, ValidationError
+from fermiflux.errors import MalformedInputError, NotErgodicError, UnsupportedModelError, ValidationError
 from fermiflux.phasespace import Basis, CouplingMatrix
 from fermiflux.randgen import random_thermal_model
 
@@ -147,12 +147,14 @@ class TestEAlpha:
 
     def test_degenerate_spectrum_refused(self):
         # uncoupled model: no bath reaches either block of kappa_S, so the model
-        # is not ergodic and e_alpha refuses it
-        from fermiflux.errors import DegenerateSpectrumError
-
+        # is not ergodic and e_alpha, its derivatives and the Riccati solve refuse it
         model = chain.build(chain.ChainSpec(length=2, theta0=0.0, thetaL=0.0))
-        with pytest.raises(DegenerateSpectrumError):
+        with pytest.raises(NotErgodicError):
             deviations.e_alpha(model, [0.1, 0.0])
+        with pytest.raises(NotErgodicError):
+            deviations.e_two_bath_derivatives(model, 0.1)
+        with pytest.raises(NotErgodicError):
+            deviations.riccati_max(model, [0.1, 0.0])
 
     def test_gradient_is_flux(self, chain2):
         # d e / d alpha at 0 equals +J: the adopted global sign convention
@@ -198,19 +200,19 @@ class TestRiccati:
 
 class TestTwoBathReduction:
     def test_zero(self, chain2):
-        assert abs(deviations.e_two_bath(chain2, 0.0)) < 1e-9
+        assert abs(deviations.e_alpha(chain2, [0.0, 0.0])) < 1e-9
 
     def test_difference_identity(self, chain2):
         r = np.random.default_rng(10)
         for _ in range(5):
             a1, a2 = r.uniform(-0.8, 0.8, 2)
             full = deviations.e_alpha(chain2, [a1, a2])
-            reduced = deviations.e_two_bath(chain2, a1 - a2)
+            reduced = deviations.e_alpha(chain2, [a1 - a2, 0.0])
             assert abs(full - reduced) < 1e-9
 
     def test_zero_at_minus_beta_gap(self, chain2):
         gap = chain2.betas[0] - chain2.betas[1]
-        assert abs(deviations.e_two_bath(chain2, -gap)) < 1e-9
+        assert abs(deviations.e_alpha(chain2, [-gap, 0.0])) < 1e-9
 
     def test_reflection_symmetry(self, chain2):
         # combining the two symmetries: e~ is even about -(beta0-betaL)/2
@@ -218,14 +220,14 @@ class TestTwoBathReduction:
         r = np.random.default_rng(11)
         for _ in range(5):
             u = r.uniform(-0.8, 0.8)
-            left = deviations.e_two_bath(chain2, -gap / 2 + u)
-            right = deviations.e_two_bath(chain2, -gap / 2 - u)
+            left = deviations.e_alpha(chain2, [-gap / 2 + u, 0.0])
+            right = deviations.e_alpha(chain2, [-gap / 2 - u, 0.0])
             assert abs(left - right) < 1e-9
 
     def test_needs_two_baths(self):
         model = make_models(12, 1, n_baths=3)[0]
         with pytest.raises(UnsupportedModelError):
-            deviations.e_two_bath(model, 0.1)
+            deviations.e_two_bath_derivatives(model, 0.1)
 
 
 class TestRateFunction:
@@ -259,6 +261,12 @@ class TestRateFunction:
         header = [l for l in text.splitlines() if not l.startswith("#")][0]
         assert header == "zeta,I,alpha_star,converged"
 
+    def test_uncoupled_chain_refused(self):
+        # not a numeric failure: no point is reported as (inf, not converged)
+        model = chain.build(chain.ChainSpec(length=2, theta0=0.0, thetaL=0.0))
+        with pytest.raises(NotErgodicError):
+            deviations.rate_function(model, [0.0, 0.05])
+
     def test_two_bath_required(self):
         model = make_models(13, 1, n_baths=3)[0]
         with pytest.raises(UnsupportedModelError):
@@ -279,11 +287,11 @@ class TestDerivatives:
         for kind, n in (("uniform", 2), ("uniform", 3), ("spectral", 2), ("spectral", 3), ("spectral", 4)):
             models.append(random_thermal_model(r, n_modes=n, n_baths=2, kind=kind))
         # the L=2 pairing draw has e = 0 identically, the other two do not
-        assert max(abs(deviations.e_two_bath(models[-3], a)) for a in (-3.0, 5.0)) <= 1e-12
-        assert min(abs(deviations.e_two_bath(m, 2.0)) for m in models[-2:]) > 1e-3
+        assert max(abs(deviations.e_alpha(models[-3], [a, 0.0])) for a in (-3.0, 5.0)) <= 1e-12
+        assert min(abs(deviations.e_alpha(m, [2.0, 0.0])) for m in models[-2:]) > 1e-3
         for model in models:
             def e(x):
-                return deviations.e_two_bath(model, x)
+                return deviations.e_alpha(model, [x, 0.0])
 
             for a in (-3.0, -1.0, 0.5, 2.0, 5.0):
                 e0, d1, d2 = deviations.e_two_bath_derivatives(model, a)
@@ -299,7 +307,7 @@ def _golden_legendre(model, zetas, alpha_max=deviations.ALPHA_MAX, xtol=1e-10):
     out, warm = [], 0.0
     for zeta in zetas:
         def f(a):
-            return a * zeta - deviations.e_two_bath(model, a)
+            return a * zeta - deviations.e_alpha(model, [a, 0.0])
 
         x0, step = warm, 0.25
         f0 = f(x0)
@@ -500,7 +508,7 @@ class TestSectorSplit:
         # the Fock oracle itself drifts above |alpha| = 10, so the reference is
         # the same Z at 60 digits
         ref = _mp_e_alpha(chain2, [a, 0.0])
-        assert abs(deviations.e_two_bath(chain2, a) - ref) <= 1e-12 * abs(ref)
+        assert abs(deviations.e_alpha(chain2, [a, 0.0]) - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("a", [50.0, -50.0])
     def test_long_chain_large_alpha_against_mpmath(self, a):
@@ -516,7 +524,7 @@ class TestSectorSplit:
             model = random_thermal_model(np.random.default_rng(seed), n_modes=4, n_baths=2, kind="spectral")
             for a in (30.0, -30.0, 50.0, -50.0):
                 ref = _mp_blocks_e(model, [a, 0.0])
-                assert abs(deviations.e_two_bath(model, a) - ref) <= 1e-13 * max(1.0, abs(ref))
+                assert abs(deviations.e_alpha(model, [a, 0.0]) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 class TestPairingModels:
@@ -603,7 +611,7 @@ class TestOutOfSupport:
     def test_discarded_coupling_logged(self, caplog):
         model = chain.build(chain.ChainSpec(length=3))
         with caplog.at_level(logging.DEBUG, logger="fermiflux.deviations"):
-            deviations.e_two_bath(model, 0.2)
+            deviations.e_alpha(model, [0.2, 0.0])
         words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.deviations"][-1].split()
         assert words[:2] == ["out-of-support", "coupling"]
         assert float(words[2]) < 1e-3 * float(words[-1])
@@ -612,7 +620,7 @@ class TestOutOfSupport:
 class TestFactorCache:
     def test_freed_with_model(self):
         model = chain.build(chain.ChainSpec(length=3))
-        deviations.e_two_bath(model, 0.2)
+        deviations.e_alpha(model, [0.2, 0.0])
         ref = weakref.ref(model)
         del model
         gc.collect()
@@ -621,13 +629,13 @@ class TestFactorCache:
     def test_threads_share_fresh_models(self):
         alphas = np.linspace(-2.0, 2.0, 9)
         specs = [chain.ChainSpec(length=n) for n in (2, 3, 4)]
-        expected = [[deviations.e_two_bath(chain.build(s), a) for a in alphas] for s in specs]
+        expected = [[deviations.e_alpha(chain.build(s), [a, 0.0]) for a in alphas] for s in specs]
         models = [chain.build(s) for s in specs]
         results = {}
 
         def work(k):
             j = k % len(models)
-            results[k] = [deviations.e_two_bath(models[j], a) for a in alphas]
+            results[k] = [deviations.e_alpha(models[j], [a, 0.0]) for a in alphas]
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

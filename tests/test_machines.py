@@ -179,13 +179,10 @@ class TestComposition:
     def test_flux_additivity(self):
         betas = (1.0, 2.0, 3.0)
         a = machines.fridge(0.7, 0.4, betas=betas, rates=(1.0, 1.0, 1.0), g=0.5, h=1.0)
-        b = machines._idle_qubit(0, betas)
+        b = machines._pair_machine(2, 0, 0.3, betas)
+        assert abs(b.fluxes()[2] - 0.3) < 1e-12
         combined = machines.tensor_models(a, b)
         assert np.max(np.abs(combined.fluxes() - (a.fluxes() + b.fluxes()))) < 1e-10
-
-    def test_idle_qubit_zero_flux(self):
-        m = machines._idle_qubit(1, (1.0, 2.0))
-        assert np.max(np.abs(m.fluxes())) < 1e-12
 
 
 class TestSynthesize:
@@ -220,6 +217,26 @@ class TestSynthesize:
         ):
             machine = machines.synthesize(target, betas)
             assert np.max(np.abs(machine.fluxes() - target)) < 1e-6
+
+    def test_only_components_that_carry_flux(self):
+        # at most n - 2 fridges (dimension 8) and one bridge (dimension 2), each
+        # moving energy; a bath with zero target gets no component and reads 0.0
+        for target, betas in (
+            ([1.0, -3.0, 2.0], (1.0, 2.0, 3.0)),
+            ([1.0, -3.0, 1.0, 1.0], (4.0, 2.0, 3.0, 1.0)),
+            ([0.0, -1.0, 1.0], (1.0, 2.0, 3.0)),
+            ([0.0, 1.0, -3.0, 2.0], (1.0, 2.0, 3.0, 4.0)),
+        ):
+            machine = machines.synthesize(target, betas)
+            dims = sorted(comp.dim for comp in machine.components)
+            assert dims.count(2) <= 1 and dims.count(8) <= len(betas) - 2 and set(dims) <= {2, 8}
+            for comp in machine.components:
+                assert np.max(np.abs(comp.fluxes())) > machines.ZERO_FLUX
+            achieved = machine.fluxes()
+            assert np.max(np.abs(achieved - target)) < 1e-6
+            for i, t in enumerate(target):
+                if t == 0.0:
+                    assert achieved[i] == 0.0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(InfeasibleError):
