@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import io
 import logging
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -153,14 +152,12 @@ def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
 
 # Models are immutable, so their factors are cached by identity and freed with them.
 _FACTORS: "weakref.WeakKeyDictionary[ThermalQuasiFreeModel, tuple]" = weakref.WeakKeyDictionary()
-_FACTORS_LOCK = threading.Lock()
 
 
 def _factors(model: ThermalQuasiFreeModel) -> tuple:
-    with _FACTORS_LOCK:
-        f = _FACTORS.get(model)
-        if f is None:
-            f = _FACTORS[model] = _build_factors(model)
+    f = _FACTORS.get(model)
+    if f is None:
+        f = _FACTORS[model] = _build_factors(model)
     return f
 
 

@@ -9,6 +9,16 @@ jump channel (bath i, energy quantum delta) is drawn proportionally to
 tr(R h): one contraction of h with the stacked rate operators
 R = sum_K K^dagger K gives every channel weight.
 
+All trajectories advance in lockstep rounds, one jump each per round, on
+(n, d, d) stacks: one survival inversion with a bracket per trajectory, one
+evolution in the eigenbasis of G, one weight contraction, one channel draw per
+trajectory and one application per channel.  A trajectory leaves the stack
+once it survives to the horizon or reaches a dark state.  With e = exp(lam t)
+for the eigenvalues lam of G, the survival is the quadratic form
+e^T C conj(e): d exponentials per evaluation.  Stacks hold at most
+CHUNK_ENTRIES complex entries (1024 trajectories at d = 4, 4 at d = 64), so
+memory stays flat in the chain length.
+
 A channel is a list of Kraus operators, the J_c = sqrt(n_c/2) sum_k conj(t_kc)
 gamma_k of the eigenmodes c of kappa_i with energy w_c = delta
 (``fock.jump_operators``); a jump maps h -> sum_K K h K^dagger.  The reference
@@ -16,15 +26,16 @@ route, run by the cross-check, builds the explicit system + bath realization
 on the joint Fock space and sandwiches one interaction between bath-energy
 eigenprojectors.
 
-RNG: numpy's counter-based Philox generator, keyed (base_seed, trajectory
-index); identical seeds reproduce trajectories bit for bit on any platform.
+RNG: numpy's counter-based Philox generator, one stream per trajectory keyed
+(seed, 0), drawn survival first, then channel; a trajectory's jumps therefore
+depend neither on the batch size nor on its place in the batch, and identical
+seeds reproduce trajectories bit for bit on any platform.
 """
 
 from __future__ import annotations
 
 import io
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +59,8 @@ class JumpChannel:
     kraus: np.ndarray  # (k, d, d)
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        """h -> sum_K K h K^dagger."""
-        ks = self.kraus
-        return (ks @ h @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+        """h -> sum_K K h K^dagger, for one h or an (n, d, d) stack."""
+        return sum(k @ h @ k.conj().T for k in self.kraus)
 
 
 def _mode_channels(model: ThermalQuasiFreeModel, i: int) -> dict:
@@ -148,139 +158,140 @@ class TrajectoryRecord:
         return len(self.jumps)
 
 
-class _SurvivalSolver:
-    """Exact survival function s(t) = tr(e^{tG} h e^{tG*}) via eigendecomposition.
+# Bound on the n * d^2 complex entries of one lockstep stack: 1024 trajectories
+# at d = 4 and 4 at d = 64 (L = 6), so memory stays flat in the chain length.
+CHUNK_ENTRIES = 2**14
 
-    With G = V diag(lam) V^{-1} and h~ = V^{-1} h V^{-dagger}, the survival is
-    a finite sum of exponentials s(t) = sum_{jk} c_jk e^{t (lam_j + conj(lam_k))}
-    whose coefficients are recomputed once per no-jump segment.
-    ``evaluations`` counts the sums over exp(mu t) that ``invert`` computed.
+
+@dataclass(frozen=True, eq=False)
+class _SimContext:
+    """What every trajectory of one model shares: its channels and the eigenbasis of G.
+
+    With G = V diag(lam) V^{-1} and h~ = V^{-1} h V^{-dagger}, the unnormalized
+    state after a no-jump time t is h(t) = V (h~ * e e^dagger) V^dagger with
+    e = exp(lam t), and the survival s(t) = tr h(t) is the quadratic form
+    e^T C conj(e) with C = w * h~, w[j, k] = (V^dagger V)_{kj}: d exponentials
+    per evaluation instead of the d^2 of sum_jk C_jk e^{t (lam_j + conj(lam_k))}.
     """
 
-    def __init__(self, g: np.ndarray):
-        lam, v = np.linalg.eig(g)
-        self.lam = lam
-        self.v = v
-        self.vinv = np.linalg.inv(v)
-        self.mu = (lam[:, None] + lam.conj()[None, :]).reshape(-1)
-        self.w = (v.conj().T @ v).T  # w[j, k] = (V^dagger V)_{kj}
-        self.evaluations = 0
+    channels: list
+    rates: np.ndarray  # (n_channels, d, d): the rate operator sum K^dagger K of each channel
+    lam: np.ndarray
+    v: np.ndarray
+    vinv: np.ndarray
+    w: np.ndarray
 
-    def coefficients(self, h: np.ndarray) -> np.ndarray:
-        ht = self.vinv @ h @ self.vinv.conj().T
-        return (self.w * ht).reshape(-1)
+    def weights(self, h: np.ndarray) -> np.ndarray:
+        """Channel weights tr(R h) of each state in the (n, d, d) stack, clipped at 0."""
+        return np.maximum(np.einsum("kij,nji->nk", self.rates, h).real, 0.0)
 
-    def evolve(self, h: np.ndarray, t: float) -> np.ndarray:
-        expd = (self.v * np.exp(self.lam * t)) @ self.vinv
-        return expd @ h @ expd.conj().T
+    def survival(self, c: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """s(t) and s'(t) for each (coefficients, time) row; C is Hermitian, so s' = 2 Re (lam e)^T C conj(e)."""
+        e = np.exp(t[:, None] * self.lam)
+        y = (c @ e.conj()[:, :, None])[:, :, 0]
+        return (e * y).sum(axis=1).real, 2.0 * (self.lam * e * y).sum(axis=1).real
 
-    def invert(self, coef: np.ndarray, target: float, t_max: float):
-        """Smallest t in (0, t_max] with s(t) = target, or None if s stays above it.
+    def invert(self, c: np.ndarray, target: np.ndarray, t_max: np.ndarray) -> tuple[np.ndarray, int]:
+        """Per row, the smallest t in (0, t_max] with s(t) = target, nan where s stays above it.
 
         Newton on log s(t) = log target from t = 0, exact for one exponential.
         s is non-increasing (s' = -tr(Phi(1) h_t) <= 0), but log s need not be
-        convex (mu is complex), so every evaluation tightens a bracket [lo, hi]
+        convex (lam is complex), so every evaluation tightens a bracket [lo, hi]
         and a step that leaves it, or a point with s <= 0 or s' >= 0, becomes
-        the midpoint.  One exp(mu t) gives both s and s'.  Stops on a step or a
-        bracket of 1e-13 max(1, t): a tighter stop sends the rounding-level last
-        steps out of the bracket and back to bisection.
+        the midpoint.  Stops on a step or a bracket of 1e-13 max(1, t): a
+        tighter stop sends the rounding-level last steps out of the bracket and
+        back to bisection.  Rows that stop leave the stack; the second return
+        value counts the survival evaluations of all rows.
         """
-        mu = self.mu
-        dcoef = coef * mu
-        e = np.exp(mu * t_max)
-        self.evaluations += 1
-        if (coef @ e).real > target:
-            return None
-        log_u = math.log(target) if target > 0.0 else -math.inf
-        lo, hi = 0.0, t_max
-        t = 0.0
-        s, ds = float(coef.sum().real), float(dcoef.sum().real)
+        s_end, _ = self.survival(c, t_max)
+        evaluations = len(target)
+        times = np.full(len(target), np.nan)
+        rows = np.flatnonzero(s_end <= target)
+        c, u, hi = c[rows], target[rows], t_max[rows]
+        with np.errstate(divide="ignore"):
+            log_u = np.log(u)
+        lo = t = np.zeros(len(rows))
+        s, ds = self.survival(c, t)
         for _ in range(100):
-            if s > target:
-                lo = t
-            else:
-                hi = t
-            t_new = t - (math.log(s) - log_u) * s / ds if s > 0.0 and ds < 0.0 else math.nan
-            if abs(t_new - t) <= 1e-13 * max(1.0, t):
-                return min(max(t_new, lo), hi)  # a rounding-level step may overshoot the bracket
-            if not lo < t_new < hi:
-                t_new = 0.5 * (lo + hi)
-                if hi - lo <= 1e-13 * max(1.0, t_new):
-                    return t_new
+            if not rows.size:
+                break
+            above = s > u
+            lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_new = np.where((s > 0.0) & (ds < 0.0), t - (np.log(s) - log_u) * s / ds, np.nan)
+            converged = np.abs(t_new - t) <= 1e-13 * np.maximum(1.0, t)
+            outside = ~converged & ~((lo < t_new) & (t_new < hi))
+            t_new = np.where(outside, 0.5 * (lo + hi), t_new)
+            closed = outside & (hi - lo <= 1e-13 * np.maximum(1.0, t_new))
+            done = converged | closed
+            if done.any():
+                # a rounding-level Newton step may overshoot the bracket
+                times[rows[done]] = np.where(converged, np.clip(t_new, lo, hi), t_new)[done]
+                keep = ~done
+                rows, c, u, log_u, lo, hi, t_new = (a[keep] for a in (rows, c, u, log_u, lo, hi, t_new))
             t = t_new
-            e = np.exp(mu * t)
-            self.evaluations += 1
-            s, ds = float((coef @ e).real), float((dcoef @ e).real)
-        return 0.5 * (lo + hi)
-
-
-@dataclass
-class _SimContext:
-    solver: _SurvivalSolver
-    channels: list
-    rates: np.ndarray  # (n_channels, d, d): the rate operator sum K^dagger K of each channel
-
-    def weights(self, h: np.ndarray) -> np.ndarray:
-        """Channel weights tr(R h), clipped at 0."""
-        return np.maximum(np.einsum("kij,ji->k", self.rates, h).real, 0.0)
+            s, ds = self.survival(c, t)
+            evaluations += rows.size
+        times[rows] = 0.5 * (lo + hi)
+        return times, evaluations
 
 
 def _make_context(model: ThermalQuasiFreeModel) -> _SimContext:
     channels = extract_channels(model, cross_check=False)
-    g = fock.lindblad_model(model).no_jump()
+    lam, v = np.linalg.eig(fock.lindblad_model(model).no_jump())
     rates = np.array([so.kraus_rate(ch.kraus) for ch in channels])
-    return _SimContext(solver=_SurvivalSolver(g), channels=channels, rates=rates)
+    return _SimContext(channels, rates, lam, v, np.linalg.inv(v), (v.conj().T @ v).T)
 
 
-def _draw_channel(rng: np.random.Generator, p: np.ndarray) -> int:
-    """``rng.choice(len(p), p=p)`` without its validation: one uniform searched in the normalised cumsum."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _draw_channels(rngs: list, p: np.ndarray) -> np.ndarray:
+    """Per row, ``rng.choice(len(p), p=p)`` without its validation: one uniform searched in the normalised cumsum."""
+    u = np.array([rng.random() for rng in rngs])
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)  # searchsorted(u, side="right") of each row
 
 
-def simulate(
-    model: ThermalQuasiFreeModel,
-    rho0: np.ndarray,
-    horizon: float,
-    seed: int,
-    _context: _SimContext | None = None,
-) -> TrajectoryRecord:
-    """Sample one trajectory of the jump process up to time ``horizon``."""
-    if not (np.isfinite(horizon) and horizon > 0):
-        raise MalformedInputError("horizon must be finite and positive")
-    ctx = _context if _context is not None else _make_context(model)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    solver = ctx.solver
-    h = np.array(rho0, dtype=complex)
-    tr0 = np.trace(h).real
-    if abs(tr0 - 1.0) > 1e-8:
-        raise MalformedInputError("rho0 must have unit trace")
-    t_now = 0.0
-    jumps = []
-    totals = np.zeros(model.n_baths)
-    n_channels = len(ctx.channels)
-    if n_channels == 0:
-        return TrajectoryRecord(seed=seed, horizon=horizon, jumps=(), totals=totals)
-    while True:
-        coef = solver.coefficients(h)
-        u = rng.random()
-        dt = solver.invert(coef, u, horizon - t_now)
-        if dt is None:
-            break  # survived to the horizon
-        t_now += dt
-        h = solver.evolve(h, dt)  # unnormalized, trace u
+def _lockstep(ctx: _SimContext, rho0: np.ndarray, horizon: float, seeds: range) -> tuple[list, int, int]:
+    """Jump lists of the trajectories ``seeds``, all advanced one jump per round.
+
+    Each round inverts the survival of every live trajectory, evolves the ones
+    that jump, draws their channels and applies them; a trajectory leaves once
+    it survives to the horizon or reaches a dark state.  Each trajectory draws
+    from its own Philox stream, keyed (seed, 0), survival then channel, so its
+    jumps depend neither on the batch size nor on its place in the batch.
+    Returns the jump lists, the survival evaluations and the rounds.
+    """
+    rngs = [np.random.Generator(np.random.Philox(key=np.array([s, 0], dtype=np.uint64))) for s in seeds]
+    jumps = [[] for _ in seeds]
+    live = np.arange(len(seeds))
+    t_now = np.zeros(len(seeds))
+    h = np.repeat(rho0[None], len(seeds), axis=0)
+    vinv_dag, v_dag = ctx.vinv.conj().T, ctx.v.conj().T
+    evaluations = rounds = 0
+    while live.size:
+        rounds += 1
+        ht = ctx.vinv @ h @ vinv_dag
+        u = np.array([rngs[i].random() for i in live])
+        dt, n_evals = ctx.invert(ctx.w * ht, u, horizon - t_now)
+        evaluations += n_evals
+        jumped = ~np.isnan(dt)  # the others survived to the horizon
+        live, ht, dt = live[jumped], ht[jumped], dt[jumped]
+        t_now = t_now[jumped] + dt
+        e = np.exp(dt[:, None] * ctx.lam)
+        h = ctx.v @ (ht * (e[:, :, None] * e.conj()[:, None, :])) @ v_dag  # unnormalized, trace u
         weights = ctx.weights(h)
-        total = weights.sum()
-        if total <= 0.0:
-            break  # dark state: no channel can fire
-        k = _draw_channel(rng, weights / total)
-        ch = ctx.channels[k]
-        h = ch.apply(h)
-        h = h / np.trace(h).real
-        jumps.append((t_now, ch.bath, ch.delta))
-        totals[ch.bath] += ch.delta
-    return TrajectoryRecord(seed=seed, horizon=horizon, jumps=tuple(jumps), totals=totals)
+        total = weights.sum(axis=1)
+        bright = total > 0.0  # in a dark state no channel can fire
+        live, h, t_now = live[bright], h[bright], t_now[bright]
+        drawn = _draw_channels([rngs[i] for i in live], weights[bright] / total[bright, None])
+        for k, ch in enumerate(ctx.channels):
+            rows = np.flatnonzero(drawn == k)
+            if rows.size:
+                h[rows] = ch.apply(h[rows])
+        h /= np.trace(h, axis1=1, axis2=2).real[:, None, None]
+        for i, k, t in zip(live.tolist(), drawn.tolist(), t_now.tolist()):
+            jumps[i].append((t, ctx.channels[k].bath, ctx.channels[k].delta))
+    return jumps, evaluations, rounds
 
 
 def simulate_batch(
@@ -290,17 +301,38 @@ def simulate_batch(
     n_trajectories: int,
     base_seed: int = 0,
 ) -> list:
-    """Independent trajectories with per-trajectory seeds base_seed, base_seed+1, ..."""
+    """Independent trajectories up to time ``horizon``, with seeds base_seed, base_seed+1, ...
+
+    Trajectories run in lockstep chunks of at most CHUNK_ENTRIES / d^2.
+    """
     if n_trajectories < 1:
         raise MalformedInputError("need at least one trajectory")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise MalformedInputError("horizon must be finite and positive")
+    rho0 = np.array(rho0, dtype=complex)
+    if abs(np.trace(rho0).real - 1.0) > 1e-8:
+        raise MalformedInputError("rho0 must have unit trace")
     ctx = _make_context(model)
-    records = [
-        simulate(model, rho0, horizon, base_seed + k, _context=ctx) for k in range(n_trajectories)
-    ]
-    jumps = sum(r.n_jumps for r in records)
+    seeds = range(base_seed, base_seed + n_trajectories)
+    jumps, evaluations, rounds = [[] for _ in seeds], 0, 0
+    if ctx.channels:
+        size = max(1, CHUNK_ENTRIES // len(rho0) ** 2)
+        for start in range(0, n_trajectories, size):
+            part, n_evals, n_rounds = _lockstep(ctx, rho0, horizon, seeds[start:start + size])
+            jumps[start:start + size] = part
+            evaluations += n_evals
+            rounds += n_rounds
+    records = []
+    for seed, js in zip(seeds, jumps):
+        totals = np.zeros(model.n_baths)
+        for _, bath, delta in js:
+            totals[bath] += delta
+        records.append(TrajectoryRecord(seed=seed, horizon=horizon, jumps=tuple(js), totals=totals))
+    n_jumps = sum(map(len, jumps))
     log.debug(
-        "%d trajectories, %d jumps, %.2f survival evaluations per jump",
-        n_trajectories, jumps, ctx.solver.evaluations / max(jumps, 1),
+        "%d trajectories, %d jumps, %.2f survival evaluations per jump, %d lockstep rounds, "
+        "at most %d jumps in one trajectory",
+        n_trajectories, n_jumps, evaluations / max(n_jumps, 1), rounds, max(map(len, jumps)),
     )
     return records
 

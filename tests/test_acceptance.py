@@ -288,11 +288,8 @@ def mc_batch():
     model = chain.build(chain.ChainSpec(length=2, beta0=1.0, betaL=0.0))
     m_inf = dynamics.stationary_covariance(model)
     rho0 = fock.quasi_free_state(m_inf).density
-    ctx = unravel._make_context(model)
     start = time.monotonic()
-    records = [
-        unravel.simulate(model, rho0, 50.0, seed=s, _context=ctx) for s in range(10_000)
-    ]
+    records = unravel.simulate_batch(model, rho0, 50.0, 10_000, base_seed=0)
     elapsed = time.monotonic() - start
     return model, m_inf, records, elapsed
 

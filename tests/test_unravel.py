@@ -1,4 +1,3 @@
-import functools
 import logging
 
 import numpy as np
@@ -80,7 +79,7 @@ class TestChannels:
         r = np.random.default_rng(5).normal(size=(2, 4, 4))
         h = (r[0] + 1j * r[1]) @ (r[0] + 1j * r[1]).conj().T
         expected = [np.trace(c.apply(h)).real for c in ctx.channels]
-        assert np.max(np.abs(ctx.weights(h) - expected)) < 1e-12
+        assert np.max(np.abs(ctx.weights(h[None])[0] - expected)) < 1e-12
 
     def test_multimode_bath_rejected(self, chain2m):
         kappa2 = ps.embed_gauge_invariant(np.eye(2))
@@ -98,25 +97,42 @@ class TestSimulate:
     def test_closed_system_no_jumps(self, chain2m):
         closed = ThermalQuasiFreeModel(t_s=chain2m.t_s, kappa_s=chain2m.kappa_s, baths=())
         rho0 = np.eye(4) / 4.0
-        rec = unravel.simulate(closed, rho0, 10.0, seed=1)
-        assert rec.n_jumps == 0
+        recs = unravel.simulate_batch(closed, rho0, 10.0, 3, base_seed=1)
+        assert [(r.seed, r.n_jumps, r.totals.shape) for r in recs] == [(1, 0, (0,)), (2, 0, (0,)), (3, 0, (0,))]
 
     @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
     def test_horizon_must_be_finite_positive(self, chain2_setup, horizon):
-        model, rho0, ctx = chain2_setup
+        model, rho0, _ = chain2_setup
         with pytest.raises(MalformedInputError):
-            unravel.simulate(model, rho0, horizon, seed=0, _context=ctx)
+            unravel.simulate_batch(model, rho0, horizon, 1, base_seed=0)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0 + 1e-6])
+    def test_rho0_must_have_unit_trace(self, chain2_setup, scale):
+        model, rho0, _ = chain2_setup
+        with pytest.raises(MalformedInputError):
+            unravel.simulate_batch(model, scale * rho0, 10.0, 2, base_seed=0)
 
     def test_seeded_determinism(self, chain2_setup):
-        model, rho0, ctx = chain2_setup
-        r1 = unravel.simulate(model, rho0, 25.0, seed=99, _context=ctx)
-        r2 = unravel.simulate(model, rho0, 25.0, seed=99, _context=ctx)
+        model, rho0, _ = chain2_setup
+        r1 = unravel.simulate_batch(model, rho0, 25.0, 1, base_seed=99)[0]
+        r2 = unravel.simulate_batch(model, rho0, 25.0, 1, base_seed=99)[0]
         assert r1.jumps == r2.jumps
         assert np.array_equal(r1.totals, r2.totals)
 
+    def test_batch_of_n_is_n_batches_of_one(self, chain2_setup, monkeypatch):
+        # three trajectories per chunk at d = 4: the batch of 7 spans two chunk boundaries
+        model, rho0, _ = chain2_setup
+        monkeypatch.setattr(unravel, "CHUNK_ENTRIES", 3 * 16)
+        batch = unravel.simulate_batch(model, rho0, 30.0, 7, base_seed=40)
+        singles = [unravel.simulate_batch(model, rho0, 30.0, 1, base_seed=40 + k)[0] for k in range(7)]
+        assert [r.seed for r in batch] == list(range(40, 47))
+        assert sum(r.n_jumps for r in batch) > 100
+        assert [r.jumps for r in batch] == [r.jumps for r in singles]
+        assert unravel.records_to_csv(batch) == unravel.records_to_csv(singles)
+
     def test_jump_times_ordered(self, chain2_setup):
-        model, rho0, ctx = chain2_setup
-        rec = unravel.simulate(model, rho0, 30.0, seed=5, _context=ctx)
+        model, rho0, _ = chain2_setup
+        rec = unravel.simulate_batch(model, rho0, 30.0, 1, base_seed=5)[0]
         times = [t for t, _, _ in rec.jumps]
         assert all(0 < a < b < 30.0 for a, b in zip(times, times[1:]))
         for i in range(2):
@@ -124,8 +140,8 @@ class TestSimulate:
             assert abs(acc - rec.totals[i]) < 1e-12
 
     def test_mean_rate_matches_flux(self, chain2_setup):
-        model, rho0, ctx = chain2_setup
-        recs = [unravel.simulate(model, rho0, 50.0, seed=s, _context=ctx) for s in range(600)]
+        model, rho0, _ = chain2_setup
+        recs = unravel.simulate_batch(model, rho0, 50.0, 600, base_seed=0)
         j = thermal.fluxes(model, dynamics.stationary_covariance(model))
         mean, sem = unravel.mean_rates(recs)
         assert np.all(np.abs(mean - j) < 4.0 * sem)
@@ -145,16 +161,15 @@ class TestSimulate:
         t_end = 1.5
         n = 800
         acc = np.zeros_like(rho0)
-        for s in range(n):
-            rec = unravel.simulate(chain2m, rho0, t_end, seed=10_000 + s, _context=ctx)
+        for rec in unravel.simulate_batch(chain2m, rho0, t_end, n, base_seed=10_000):
             h = rho0.copy()
             t_prev = 0.0
             for (t, _, _), k in zip(rec.jumps, _jump_channel_indices(rec, ctx)):
-                h = ctx.solver.evolve(h, t - t_prev)
+                h = _evolve(ctx, h, t - t_prev)
                 h = ctx.channels[k].apply(h)
                 h = h / np.trace(h).real
                 t_prev = t
-            h = ctx.solver.evolve(h, t_end - t_prev)
+            h = _evolve(ctx, h, t_end - t_prev)
             acc += h / np.trace(h).real
         avg = acc / n
         expected = so.apply_super(sla.expm(t_end * fock.build_lindbladian(chain2m)), rho0)
@@ -163,7 +178,7 @@ class TestSimulate:
     def test_jump_count_tail_bound(self, chain2_setup):
         model, rho0, ctx = chain2_setup
         horizon = 5.0
-        recs = [unravel.simulate(model, rho0, horizon, seed=2_000 + s, _context=ctx) for s in range(500)]
+        recs = unravel.simulate_batch(model, rho0, horizon, 500, base_seed=2_000)
         counts = np.array([r.n_jumps for r in recs])
         # fitted C: smallest C with P(Z = k) <= (CT)^k / k! for all observed k
         ks = np.arange(counts.max() + 1)
@@ -183,7 +198,9 @@ class TestSimulate:
     def test_channel_draw_matches_generator_choice(self, chain2_setup, monkeypatch):
         model, rho0, _ = chain2_setup
         new = unravel.simulate_batch(model, rho0, 50.0, 200, base_seed=11)
-        monkeypatch.setattr(unravel, "_draw_channel", lambda rng, p: int(rng.choice(len(p), p=p)))
+        monkeypatch.setattr(
+            unravel, "_draw_channels", lambda rngs, p: np.array([rng.choice(len(q), p=q) for rng, q in zip(rngs, p)])
+        )
         ref = unravel.simulate_batch(model, rho0, 50.0, 200, base_seed=11)
         assert sum(r.n_jumps for r in ref) > 1000
         assert unravel.records_to_csv(new) == unravel.records_to_csv(ref)
@@ -204,8 +221,7 @@ class TestWaitingTimes:
         rho0 = fock.quasi_free_state(dynamics.stationary_covariance(model)).density
         phi_one = so.unvec(fock.lindblad_model(model).phi_heisenberg(0) @ so.vec(np.eye(2)))
         waits = {0: [], 1: []}
-        for s in range(400):
-            rec = unravel.simulate(model, rho0, 200.0, seed=s, _context=ctx)
+        for rec in unravel.simulate_batch(model, rho0, 200.0, 400, base_seed=0):
             times = [t for t, _, _ in rec.jumps]
             deltas = [d for _, _, d in rec.jumps]
             for (t1, t2, d) in zip(times, times[1:], deltas):
@@ -220,11 +236,12 @@ class TestWaitingTimes:
             assert ks.pvalue > 0.01
 
 
-def _bisect_invert(solver, coef, target, t_max):
-    """Reference inversion: 64 bisection steps on s(t) = Re sum c e^{mu t}."""
+def _bisect_invert(lam, coef, target, t_max):
+    """Reference inversion: 64 bisection steps on s(t) = Re sum_jk C_jk e^{t (lam_j + conj(lam_k))}."""
+    mu = lam[:, None] + lam.conj()[None, :]
 
     def s(t):
-        return float(np.real(coef @ np.exp(solver.mu * t)))
+        return float(np.real((coef * np.exp(mu * t)).sum()))
 
     if s(t_max) > target:
         return None
@@ -238,6 +255,57 @@ def _bisect_invert(solver, coef, target, t_max):
     return 0.5 * (lo + hi)
 
 
+def _coefficients(ctx, h):
+    """Survival coefficients C = w * V^{-1} h V^{-dagger} of one state."""
+    return ctx.w * (ctx.vinv @ h @ ctx.vinv.conj().T)
+
+
+def _evolve(ctx, h, t):
+    """e^{tG} h e^{tG*} from the propagator V e^{t lam} V^{-1}."""
+    expd = (ctx.v * np.exp(ctx.lam * t)) @ ctx.vinv
+    return expd @ h @ expd.conj().T
+
+
+def _reference_trajectory(model, ctx, rho0, horizon, seed):
+    """The sequential sampler: one trajectory at a time, each waiting time by bisection."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    h = np.array(rho0, dtype=complex)
+    t_now = 0.0
+    jumps = []
+    totals = np.zeros(model.n_baths)
+    while True:
+        dt = _bisect_invert(ctx.lam, _coefficients(ctx, h), rng.random(), horizon - t_now)
+        if dt is None:
+            break  # survived to the horizon
+        t_now += dt
+        h = _evolve(ctx, h, dt)
+        weights = np.maximum(np.einsum("kij,ji->k", ctx.rates, h).real, 0.0)
+        total = weights.sum()
+        if total <= 0.0:
+            break  # dark state
+        cdf = np.cumsum(weights / total)
+        cdf /= cdf[-1]
+        ch = ctx.channels[int(cdf.searchsorted(rng.random(), side="right"))]
+        h = ch.apply(h)
+        h = h / np.trace(h).real
+        jumps.append((t_now, ch.bath, ch.delta))
+        totals[ch.bath] += ch.delta
+    return unravel.TrajectoryRecord(seed=seed, horizon=horizon, jumps=tuple(jumps), totals=totals)
+
+
+def _assert_matches_reference(model, rho0, horizon, n_traj, base_seed=0):
+    ctx = unravel._make_context(model)
+    new = unravel.simulate_batch(model, rho0, horizon, n_traj, base_seed=base_seed)
+    ref = [_reference_trajectory(model, ctx, rho0, horizon, base_seed + k) for k in range(n_traj)]
+    assert sum(r.n_jumps for r in ref) > 5 * n_traj
+    assert unravel.records_to_csv(new) == unravel.records_to_csv(ref)
+    for a, b in zip(new, ref):
+        assert [j[1:] for j in a.jumps] == [j[1:] for j in b.jumps]
+        ta = np.array([j[0] for j in a.jumps])
+        tb = np.array([j[0] for j in b.jumps])
+        assert np.all(np.abs(ta - tb) <= 1e-12 * tb)
+
+
 def _post_jump_coefficients(ctx, rng, count):
     """Survival coefficients of normalized post-jump states of random density matrices."""
     d = ctx.rates.shape[1]
@@ -245,7 +313,7 @@ def _post_jump_coefficients(ctx, rng, count):
     for k in range(count):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = ctx.channels[k % len(ctx.channels)].apply(a @ a.conj().T)
-        out.append(ctx.solver.coefficients(h / np.trace(h).real))
+        out.append(_coefficients(ctx, h / np.trace(h).real))
     return out
 
 
@@ -260,43 +328,43 @@ class TestInvert:
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_matches_bisection(self, name):
         ctx = unravel._make_context(self.MODELS[name]())
-        solver = ctx.solver
         rng = np.random.default_rng(17)
-        calls = 0
+        rows = []  # (coefficients, target, t_max, s(t_max)), all inverted as one stack
         for coef in _post_jump_coefficients(ctx, rng, 12):
             for t_max in (0.3, 4.0, 50.0):
-                s_end = float(np.real(coef @ np.exp(solver.mu * t_max)))
+                s_end = ctx.survival(coef[None], np.array([t_max]))[0][0]
                 targets = [0.5 * s_end, s_end, 1.0, *np.geomspace(s_end, 1.0, 9)[1:-1], *rng.uniform(s_end, 1.0, 4)]
-                for u in targets:
-                    before = solver.evaluations
-                    got = solver.invert(coef, u, t_max)
-                    ref = _bisect_invert(solver, coef, u, t_max)
-                    assert (got is None) == (s_end > u)
-                    assert (ref is None) == (got is None)
-                    if got is not None:
-                        calls += 1
-                        assert 0.0 <= got <= t_max
-                        assert abs(got - ref) <= 1e-12 * max(1.0, ref)
-                    else:
-                        assert solver.evaluations - before == 1
+                rows += [(coef, u, t_max, s_end) for u in targets]
+        coefs, targets, t_maxes, s_ends = (np.array(col) for col in zip(*rows))
+        got, evaluations = ctx.invert(coefs, targets, t_maxes)
+        calls = 0
+        for coef, u, t_max, s_end, t in zip(coefs, targets, t_maxes, s_ends, got):
+            assert np.isnan(t) == (s_end > u)
+            ref = _bisect_invert(ctx.lam, coef, u, t_max)
+            if ref is None or np.isnan(t):
+                # at u = s(t_max) the two survival formulas may round to either side
+                assert (ref is None and np.isnan(t)) or u == s_end
+            else:
+                calls += 1
+                assert 0.0 <= t <= t_max
+                assert abs(t - ref) <= 1e-12 * max(1.0, ref)
+        survivors = np.isnan(got)
+        assert 0 < survivors.sum() < len(got)
+        # a trajectory that survives to t_max costs one evaluation
+        assert ctx.invert(coefs[survivors], targets[survivors], t_maxes[survivors])[1] == survivors.sum()
         if name == "chain2":
-            assert solver.evaluations / calls <= 6.0
+            assert evaluations / calls <= 6.0
 
     @pytest.mark.parametrize("length,n_traj", [(2, 200), (3, 50)])
-    def test_same_trajectories_as_bisection(self, monkeypatch, length, n_traj):
+    def test_same_trajectories_as_bisection(self, length, n_traj):
         model = chain.build(chain.ChainSpec(length=length))
         rho0 = fock.quasi_free_state(dynamics.stationary_covariance(model)).density
-        ctx = unravel._make_context(model)
-        ref_ctx = unravel._make_context(model)
-        monkeypatch.setattr(ref_ctx.solver, "invert", functools.partial(_bisect_invert, ref_ctx.solver))
-        new = [unravel.simulate(model, rho0, 50.0, seed=s, _context=ctx) for s in range(n_traj)]
-        ref = [unravel.simulate(model, rho0, 50.0, seed=s, _context=ref_ctx) for s in range(n_traj)]
-        assert unravel.records_to_csv(new) == unravel.records_to_csv(ref)
-        for a, b in zip(new, ref):
-            assert [j[1:] for j in a.jumps] == [j[1:] for j in b.jumps]
-            ta = np.array([j[0] for j in a.jumps])
-            tb = np.array([j[0] for j in b.jumps])
-            assert np.all(np.abs(ta - tb) <= 1e-12 * tb)
+        _assert_matches_reference(model, rho0, 50.0, n_traj)
+
+    def test_same_trajectories_as_bisection_three_baths(self):
+        model = self.MODELS["tr_broken"]()
+        rho0 = fock.quasi_free_state(dynamics.stationary_covariance(model)).density
+        _assert_matches_reference(model, rho0, 50.0, 50, base_seed=7)
 
     def test_batch_logs_evaluations(self, chain2_setup, caplog):
         model, rho0, _ = chain2_setup
@@ -306,12 +374,16 @@ class TestInvert:
         assert words[1:3] == ["trajectories,", str(sum(r.n_jumps for r in recs))]
         assert int(words[0]) == 5
         assert 1.0 <= float(words[4]) <= 6.0
+        # one chunk: the longest trajectory is live for its jumps plus the round it stops in
+        longest = max(r.n_jumps for r in recs)
+        assert words[9:11] == [str(longest + 1), "lockstep"]
+        assert words[14] == str(longest)
 
 
 @pytest.fixture(scope="module")
 def records(chain2_setup):
-    model, rho0, ctx = chain2_setup
-    return [unravel.simulate(model, rho0, 50.0, seed=s, _context=ctx) for s in range(600)]
+    model, rho0, _ = chain2_setup
+    return unravel.simulate_batch(model, rho0, 50.0, 600, base_seed=0)
 
 
 class TestEmpiricalCgf:
@@ -340,8 +412,8 @@ class TestEmpiricalCgf:
 
 class TestSerialization:
     def test_records_csv(self, chain2_setup):
-        model, rho0, ctx = chain2_setup
-        recs = [unravel.simulate(model, rho0, 5.0, seed=s, _context=ctx) for s in range(3)]
+        model, rho0, _ = chain2_setup
+        recs = unravel.simulate_batch(model, rho0, 5.0, 3, base_seed=0)
         text = unravel.records_to_csv(recs)
         lines = text.splitlines()
         assert lines[0] == "seed,T,n_jumps,N_0,N_1"
