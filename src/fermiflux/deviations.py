@@ -18,7 +18,8 @@ B are Hermitian, so J Z is Hermitian (J = [[0, 1], [-1, 0]]) and the spectrum
 is symmetric under lambda -> -conj(lambda).  The eigenvalues of positive real
 part also determine the maximal solution of the associated algebraic Riccati
 equation, whose inverse-shifted form is the covariance of the deformed
-semigroup's dominant eigenvector.
+semigroup's dominant eigenvector.  One eigendecomposition per block serves
+both that solution and the derivatives of e; e_alpha needs only eigenvalues.
 
 Z is solved one eigenspace U_w of kappa_S at a time.  [T_S, kappa_S] = 0 and
 Theta_i kappa_i = kappa_S Theta_i make A and B block diagonal there, with
@@ -209,49 +210,60 @@ class DeformedSpectrum:
     covariance: PhaseSpaceMatrix
 
 
+def _block_eig(b: _Block, alpha: np.ndarray) -> tuple:
+    """``(c, Z_w(alpha - c), lambda, eigenvectors, Re lambda > 0)`` for the block's shift c.
+
+    DegenerateSpectrumError unless m eigenvalues lie right of the axis and none within SPLIT_TOL of it.
+    """
+    c = b.shift(alpha)
+    z = b.z(alpha - c)
+    lam, v = np.linalg.eig(z)
+    plus = lam.real > 0
+    margin = np.abs(lam.real).min()
+    k = np.count_nonzero(plus)
+    if k != b.a.shape[0] or margin < SPLIT_TOL:
+        raise DegenerateSpectrumError(f"{k} of {lam.size} eigenvalues right of the axis; smallest |Re| {margin:.1e}")
+    return c, z, lam, v, plus
+
+
 def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
     """Maximal solution of X A + A* X + X B(alpha) X - B(-alpha,-beta) = 0.
 
-    Solved block by block from the ordered Schur form of each Z_w(alpha):
-    stacking a basis of the invariant subspace for the right-half-plane
-    eigenvalues as [V1; V2] gives X_w = V2 V1^{-1}, and X = sum_w U_w X_w U_w^*.
-    The eigenvalues are read off the Schur diagonals, none within SPLIT_TOL of
-    the imaginary axis.  The deformed semigroup's dominant eigenvector is the
-    Gaussian state of covariance (1 + X)^{-1}.  A block that no bath reaches
-    is refused with NotErgodicError.
+    Solved block by block from the eigenvectors [V1; V2] of the right-half-plane
+    eigenvalues of Z_w(alpha - c): X_w = e^{-cw} V2 V1^{-1}, X = sum_w U_w X_w U_w^*.
+    The smallest |Re lambda|, the worst cond(V1) and the gap between the trace
+    formula and the half-spectrum sum are logged at DEBUG.  The deformed
+    semigroup's dominant eigenvector is the Gaussian state of covariance
+    (1 + X)^{-1} = sum_w U_w (1 + X_w)^{-1} U_w^*, taken from the eigenvalues x
+    of each Hermitian X_w so that blocks of different scale e^{-cw} never mix;
+    NumericDegeneracyError if some x <= -1.  NotErgodicError if no bath reaches a block.
     """
     alpha = _check_alpha(model, alpha)
     blocks = _ergodic_factors(model)
-    n = 2 * model.n_modes
-    x = np.zeros((n, n), dtype=complex)
-    abs_re, trace = 0.0, 0.0
+    x, cov = np.zeros((2, 2 * model.n_modes, 2 * model.n_modes), dtype=complex)
+    abs_re, trace, margin, worst = 0.0, 0.0, np.inf, 0.0
     for b in blocks:
-        c = b.shift(alpha)
-        z = b.z(alpha - c)
+        c, z, lam, v, plus = _block_eig(b, alpha)
         m = b.a.shape[0]
-        t, q, k = sla.schur(z, output="complex", sort="rhp")
-        margin = np.abs(np.diag(t).real)
-        if k != m or margin.min() < SPLIT_TOL:
-            raise DegenerateSpectrumError(
-                f"Schur sort kept {k} of {2 * m} eigenvalues; smallest |Re| {margin.min():.1e}, limit {SPLIT_TOL:.1e}"
-            )
-        abs_re += margin.sum()
-        cond = np.linalg.cond(q[:m, :m])
+        cond = np.linalg.cond(v[:m, plus])
         if not np.isfinite(cond) or cond > 1e12:
             raise NumericDegeneracyError(f"invariant-subspace stacking is singular (cond {cond:.3e})")
-        xw = q[m:, :m] @ np.linalg.inv(q[:m, :m])
+        xw = v[m:, plus] @ np.linalg.inv(v[:m, plus])
+        abs_re += np.abs(lam.real).sum()
+        margin, worst = min(margin, np.abs(lam.real).min()), max(worst, cond)
         trace += np.trace(z[:m, :m] + xw @ z[:m, m:]).real
-        x += np.exp(-c * b.w) * (b.u @ xw @ b.u.conj().T)
-    x = 0.5 * (x + x.conj().T)
-    cov = np.linalg.inv(np.eye(n) + x)
-    cov = 0.5 * (cov + cov.conj().T)
-    theta_trace = sum(b.trace for b in blocks)
-    e_spec = 0.25 * abs_re - 0.25 * theta_trace
-    e_trace = 0.5 * trace - 0.25 * theta_trace
-    if abs(e_trace - e_spec) > 1e-7 * max(1.0, abs(e_spec)):
-        raise InternalConsistencyError(
-            f"trace formula {e_trace:.6e} disagrees with half-spectrum sum {e_spec:.6e}"
-        )
+        xs, q = np.linalg.eigh(np.exp(-c * b.w) * 0.5 * (xw + xw.conj().T))
+        if xs.min() <= -1.0:
+            raise NumericDegeneracyError(f"1 + X is not positive definite: smallest eigenvalue of X {xs.min():.3e}")
+        uq = b.u @ q
+        x += (uq * xs) @ uq.conj().T
+        cov += (uq / (1.0 + xs)) @ uq.conj().T
+    x, cov = (0.5 * (y + y.conj().T) for y in (x, cov))
+    e_spec = 0.25 * abs_re - 0.25 * sum(b.trace for b in blocks)
+    gap, tol = abs(0.5 * trace - 0.25 * abs_re), 1e-7 * max(1.0, abs(e_spec))
+    log.debug("smallest |Re lambda| %.3e, worst cond(V1) %.3e, trace-formula gap %.3e of %.3e", margin, worst, gap, tol)
+    if gap > tol:
+        raise InternalConsistencyError(f"trace formula misses the half-spectrum sum {e_spec:.6e} by {gap:.3e}")
     return DeformedSpectrum(float(e_spec), x_max=x, covariance=PhaseSpaceMatrix(cov, Basis.MAJORANA))
 
 
@@ -278,10 +290,9 @@ def e_two_bath_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[floa
     with + and - the eigenvalues right and left of the imaginary axis.  The
     ++ cross terms cancel in pairs, so every denominator is at least twice
     the smallest |Re lambda|.  A block that one bath alone reaches adds
-    nothing to either derivative: its shift absorbs the tilt.  Raises
+    only rounding to either derivative: its shift absorbs the tilt.  Raises
     NotErgodicError if a block is reached by no bath, DegenerateSpectrumError
-    unless every other block has m eigenvalues right of the axis and none
-    within SPLIT_TOL of it, and NumericDegeneracyError when cond(X)
+    as ``_block_eig`` does, and NumericDegeneracyError when cond(X)
     (Frobenius norm) passes 1e12.
     """
     if model.n_baths != 2:
@@ -290,20 +301,8 @@ def e_two_bath_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[floa
     blocks = _ergodic_factors(model)
     abs_re, d1, d2 = 0.0, 0.0, 0.0
     for b in blocks:
-        c = b.shift(alpha)
-        z = b.z(alpha - c)
-        if b.baths.size == 1:
-            abs_re += np.abs(np.linalg.eigvals(z).real).sum()
-            continue
+        c, _, lam, x, plus = _block_eig(b, alpha)
         m = b.a.shape[0]
-        lam, x = np.linalg.eig(z)
-        plus = lam.real > 0
-        margin = np.abs(lam.real).min()
-        if np.count_nonzero(plus) != m or margin < SPLIT_TOL:
-            raise DegenerateSpectrumError(
-                f"{np.count_nonzero(plus)} of {2 * m} eigenvalues right of the axis; "
-                f"smallest |Re| {margin:.1e}, limit {SPLIT_TOL:.1e}"
-            )
         y = np.linalg.inv(x)
         cond = np.linalg.norm(x) * np.linalg.norm(y)
         if not np.isfinite(cond) or cond > 1e12:

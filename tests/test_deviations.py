@@ -9,7 +9,13 @@ import pytest
 import scipy.linalg as sla
 
 from fermiflux import chain, deviations, dynamics, fock, randgen, thermal
-from fermiflux.errors import MalformedInputError, NotErgodicError, UnsupportedModelError, ValidationError
+from fermiflux.errors import (
+    DegenerateSpectrumError,
+    MalformedInputError,
+    NotErgodicError,
+    UnsupportedModelError,
+    ValidationError,
+)
 from fermiflux.phasespace import Basis, CouplingMatrix
 from fermiflux.randgen import random_thermal_model
 
@@ -30,6 +36,32 @@ def _blocks_by_definition(model, alpha):
         b_plus = b_plus + sla.expm(alpha[i] * ks) @ m_b @ d
         b_minus = b_minus + sla.expm(-alpha[i] * ks) @ (eye - m_b) @ d
     return a, b_plus, b_minus
+
+
+def _schur_riccati_x(model, alpha):
+    """Reference maximal Riccati X from the ordered Schur form of each block.
+
+    The right-half-plane Schur vectors [Q1; Q2] of Z_w(alpha - c) give
+    X_w = Q2 Q1^{-1}, and X = sum_w e^{-cw} U_w X_w U_w^*.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    n = 2 * model.n_modes
+    x = np.zeros((n, n), dtype=complex)
+    for b in deviations._factors(model):
+        c = b.shift(alpha)
+        m = b.a.shape[0]
+        t, q, k = sla.schur(b.z(alpha - c), output="complex", sort="rhp")
+        assert k == m and np.abs(np.diag(t).real).min() >= deviations.SPLIT_TOL
+        assert np.linalg.cond(q[:m, :m]) <= 1e12
+        x += np.exp(-c * b.w) * (b.u @ q[m:, :m] @ np.linalg.inv(q[:m, :m]) @ b.u.conj().T)
+    return 0.5 * (x + x.conj().T)
+
+
+def _one_bath_blocks(seed):
+    """A two-bath pairing draw whose kappa_S blocks are each reached by one bath: e = 0 identically."""
+    model = random_thermal_model(np.random.default_rng(seed), n_modes=2, n_baths=2, kind="spectral")
+    assert all(b.baths.size == 1 for b in deviations._factors(model))
+    return model
 
 
 class TestBlocks:
@@ -156,6 +188,16 @@ class TestEAlpha:
         with pytest.raises(NotErgodicError):
             deviations.riccati_max(model, [0.1, 0.0])
 
+    def test_spectrum_at_the_axis_refused(self):
+        # couplings of 1e-5 put |Re lambda| near 5e-11, inside SPLIT_TOL: the
+        # split-free e_alpha still answers, the two solves that split refuse
+        model = chain.build(chain.ChainSpec(length=2, theta0=1e-5, thetaL=1e-5))
+        assert abs(deviations.e_alpha(model, [0.1, 0.0])) < 1e-10
+        with pytest.raises(DegenerateSpectrumError, match="right of the axis"):
+            deviations.riccati_max(model, [0.1, 0.0])
+        with pytest.raises(DegenerateSpectrumError, match="right of the axis"):
+            deviations.e_two_bath_derivatives(model, 0.1)
+
     def test_gradient_is_flux(self, chain2):
         # d e / d alpha at 0 equals +J: the adopted global sign convention
         j = thermal.fluxes(chain2, dynamics.stationary_covariance(chain2))
@@ -196,6 +238,55 @@ class TestRiccati:
             a = r.uniform(-0.5, 0.5, model.n_baths)
             spec = deviations.riccati_max(model, a)
             assert abs(spec.e_value - deviations.e_alpha(model, a)) < 1e-8
+
+    @staticmethod
+    def _reference_models():
+        models = {f"chain{n}": chain.build(chain.ChainSpec(length=n)) for n in (2, 6, 10)}
+        r = np.random.default_rng(41)
+        for kind in ("uniform", "tr_broken", "spectral"):
+            models[kind] = random_thermal_model(r, n_modes=3, n_baths=3, kind=kind)
+        # pairing draws with degenerate structure: baths 0 and 2 share a kappa_S
+        # eigenvalue, or each block is reached by one bath alone
+        models["spectral-shared"] = random_thermal_model(r, n_modes=2, n_baths=3, kind="spectral")
+        models["spectral-one-bath"] = _one_bath_blocks(0)
+        return models
+
+    def test_matches_schur_reference(self):
+        r = np.random.default_rng(43)
+        for name, model in self._reference_models().items():
+            for _ in range(4):
+                a = r.uniform(-1.5, 1.5, model.n_baths)
+                ref = _schur_riccati_x(model, a)
+                x = deviations.riccati_max(model, a).x_max
+                assert np.linalg.norm(x - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2), name
+            for _ in range(4):
+                a = r.uniform(-10.0, 10.0, model.n_baths)
+                ref = _schur_riccati_x(model, a)
+                x = deviations.riccati_max(model, a).x_max
+                relative = [
+                    deviations.riccati_residual(model, a, y) / max(1.0, np.linalg.norm(y, 2)) ** 2 for y in (x, ref)
+                ]
+                assert relative[0] <= 10.0 * relative[1], (name, a, relative)
+
+    def test_covariance_at_the_alpha_bound(self):
+        # 1 + X over the whole space is singular to rounding here: the solve
+        # answers block by block or fails as a numeric error, never with LinAlgError
+        model = chain.build(chain.ChainSpec(length=6))
+        try:
+            spec = deviations.riccati_max(model, [-50.0, 0.0])
+        except deviations.NUMERIC_ERRORS:
+            return
+        assert np.all(np.isfinite(spec.covariance.maj))
+
+    def test_margins_logged(self, chain2, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fermiflux.deviations"):
+            spec = deviations.riccati_max(chain2, [0.3, 0.0])
+        words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.deviations"][-1].split()
+        assert words[:3] == ["smallest", "|Re", "lambda|"] and words[4:6] == ["worst", "cond(V1)"]
+        assert words[7:9] == ["trace-formula", "gap"]
+        margin, cond, gap, limit = (float(words[k].rstrip(",")) for k in (3, 6, 9, 11))
+        assert margin >= deviations.SPLIT_TOL and 1.0 <= cond <= 1e12
+        assert gap <= limit and limit == pytest.approx(1e-7 * max(1.0, abs(spec.e_value)), rel=1e-3)
 
 
 class TestTwoBathReduction:
@@ -274,11 +365,18 @@ class TestRateFunction:
 
 
 class TestDerivatives:
-    @pytest.mark.parametrize("length", range(2, 11))
-    def test_slope_at_zero_is_the_flux(self, length):
-        spec = chain.ChainSpec(length=length)
-        _, d1, _ = deviations.e_two_bath_derivatives(chain.build(spec), 0.0)
-        assert abs(d1 - chain.closed_form(spec).flux) <= 1e-12
+    @pytest.mark.parametrize("case", [*range(2, 11), "one-bath-blocks-0", "one-bath-blocks-1", "one-bath-blocks-2"])
+    def test_slope_at_zero_is_the_flux(self, case):
+        if isinstance(case, int):
+            spec = chain.ChainSpec(length=case)
+            _, d1, _ = deviations.e_two_bath_derivatives(chain.build(spec), 0.0)
+            assert abs(d1 - chain.closed_form(spec).flux) <= 1e-12
+            return
+        # no energy is exchanged, so the flux and e, e', e'' vanish at every a
+        model = _one_bath_blocks(int(case[-1]))
+        assert abs(thermal.fluxes(model, dynamics.stationary_covariance(model))[0]) <= 1e-12
+        for a in np.linspace(-50.0, 50.0, 21):
+            assert np.max(np.abs(deviations.e_two_bath_derivatives(model, a))) <= 1e-14
 
     def test_against_central_differences(self):
         models = [chain.build(chain.ChainSpec(length=n)) for n in (2, 5)]
@@ -556,7 +654,7 @@ class TestPairingModels:
                     e = deviations.e_alpha(model, a)
                     tol = 1e-12 * max(1.0, abs(e))
                     assert abs(deviations.e_alpha(model, a + c) - e) <= tol
-                    # the unbalanced Schur form's diagonal carries a little more rounding
+                    # eig with eigenvectors takes another LAPACK path than eigvals and may round differently
                     assert abs(deviations.riccati_max(model, a + c).e_value - e) <= 1e2 * tol
                     # both solvers shift each block's alphas to their centre; this solve takes a + c as given
                     assert abs(_mp_blocks_e(model, a + c) - e) <= tol
