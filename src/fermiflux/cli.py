@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(func=cmd_e_alpha)
 
-    sp = sub.add_parser("rate", help="rate function on a flux grid (two-bath models)")
+    sp = sub.add_parser("rate", help="rate function of bath 0's energy on a flux grid (list a bath first to select it)")
     _add_model_args(sp, True)
     sp.add_argument("--zeta-min", type=float, default=-0.1)
     sp.add_argument("--zeta-max", type=float, default=0.3)

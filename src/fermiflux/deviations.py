@@ -44,10 +44,11 @@ the spectrum is the same and B+ and B- are balanced.  For the chain, kappa_S
 is the particle number and the blocks are its particle and hole sectors.
 ``z_matrix`` assembles the whole Z from the blocks.
 
-Sign conventions (pinned against the Fock oracle and the jump Monte Carlo):
-grad e(0) = +J (fluxes into the baths), e(alpha - beta) = e(-alpha), and the
-two-bath rate function I(zeta) = sup_a (a zeta - e((a, 0))) vanishes at
-zeta = +J_0 and satisfies I(zeta) - I(-zeta) = -(beta_0 - beta_1) zeta.
+Bath 0's energy alone has the rate function I(zeta) = sup_a (a zeta - e(a e_0)),
+for any number of baths (list bath k first for bath k's).  Sign conventions
+(pinned against the Fock oracle and the jump Monte Carlo): grad e(0) = +J
+(fluxes into the baths), e(alpha - beta) = e(-alpha), and I vanishes at
+zeta = +J_0; with two baths, I(zeta) - I(-zeta) = -(beta_0 - beta_1) zeta.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .errors import (
     MalformedInputError,
     NotErgodicError,
     NumericDegeneracyError,
-    UnsupportedModelError,
 )
 from .phasespace import Basis, PhaseSpaceMatrix
 from .thermal import ThermalQuasiFreeModel
@@ -172,8 +172,8 @@ def _ergodic_factors(model: ThermalQuasiFreeModel) -> tuple:
 
 def _check_alpha(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (model.n_baths,):
-        raise MalformedInputError("alpha must have one entry per bath")
+    if alpha.shape != (model.n_baths,) or not np.isfinite(alpha).all():
+        raise MalformedInputError("alpha must have one finite entry per bath")
     return alpha
 
 
@@ -275,8 +275,8 @@ def riccati_residual(model: ThermalQuasiFreeModel, alpha, x: np.ndarray) -> floa
     return float(np.linalg.norm(r, 2))
 
 
-def e_two_bath_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float, float]:
-    """e((a, 0)) with its first two derivatives in a, from one eigendecomposition per block.
+def e_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float, float]:
+    """e(a e_0) with its first two derivatives in a, from one eigendecomposition per block.
 
     Write Z_w = X diag(lambda) Y with Y = X^{-1}, and take M = Y Z_w' X and
     N = Y Z_w'' X, the primes being d/da at the block's shifted point (only
@@ -291,13 +291,11 @@ def e_two_bath_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[floa
     ++ cross terms cancel in pairs, so every denominator is at least twice
     the smallest |Re lambda|.  A block that one bath alone reaches adds
     only rounding to either derivative: its shift absorbs the tilt.  Raises
-    NotErgodicError if a block is reached by no bath, DegenerateSpectrumError
-    as ``_block_eig`` does, and NumericDegeneracyError when cond(X)
-    (Frobenius norm) passes 1e12.
+    MalformedInputError for a non-finite a, NotErgodicError if no bath reaches
+    a block, DegenerateSpectrumError as ``_block_eig`` does, and
+    NumericDegeneracyError when cond(X) (Frobenius norm) passes 1e12.
     """
-    if model.n_baths != 2:
-        raise UnsupportedModelError("the scalar reduction needs exactly two baths")
-    alpha = np.array([a, 0.0])
+    alpha = _check_alpha(model, [a] + [0.0] * (model.n_baths - 1))
     blocks = _ergodic_factors(model)
     abs_re, d1, d2 = 0.0, 0.0, 0.0
     for b in blocks:
@@ -359,7 +357,7 @@ class RateCurve:
 
 
 def _legendre_point(model: ThermalQuasiFreeModel, zeta: float, start: float, alpha_max: float, counts: dict):
-    """The maximizer of a zeta - e((a, 0)) on |a| <= alpha_max: the root of e'(a) = zeta.
+    """The maximizer of a zeta - e(a e_0) on |a| <= alpha_max: the root of e'(a) = zeta.
 
     e is convex, so e' - zeta is increasing: by its sign, each evaluation
     moves one end of a bracket [lo, hi] onto the point.  Newton starts from
@@ -375,7 +373,7 @@ def _legendre_point(model: ThermalQuasiFreeModel, zeta: float, start: float, alp
     a = float(np.clip(start, -alpha_max, alpha_max))
     step = older = np.inf
     while True:
-        e, d1, d2 = e_two_bath_derivatives(model, a)
+        e, d1, d2 = e_derivatives(model, a)
         counts["evaluations"] += 1
         g = d1 - zeta
         if g == 0.0:
@@ -406,20 +404,21 @@ def rate_function(
     alpha_max: float = ALPHA_MAX,
     metadata: dict | None = None,
 ) -> RateCurve:
-    """Legendre transform I(zeta) = sup_a (a zeta - e((a,0))) on a grid.
+    """Bath 0's rate function I(zeta) = sup_a (a zeta - e(a e_0)) on a grid.
 
-    Two-bath models only (the supremum is one-dimensional after the
-    translation invariance e(alpha + c 1) = e(alpha)).  Each point solves
+    Any number of baths; with two, translation invariance e(alpha + c 1) =
+    e(alpha) makes it the full two-bath rate function.  Each point solves
     e'(a) = zeta by safeguarded Newton (``_legendre_point``), warm-started
     from the previous grid point's maximizer; points whose root lies beyond
     |alpha| <= alpha_max, or where an evaluation inside the search fails
     numerically (one of NUMERIC_ERRORS), are reported as I = +inf with
     ``converged`` False, and the next point is searched.  A model with a
-    kappa_S eigenspace that no bath reaches raises NotErgodicError instead.
+    kappa_S eigenspace that no bath reaches raises NotErgodicError instead;
+    a non-finite zeta or alpha_max, or alpha_max <= 0, MalformedInputError.
     """
-    if model.n_baths != 2:
-        raise UnsupportedModelError("rate_function needs a two-bath model")
     zeta_grid = np.asarray(zeta_grid, dtype=float)
+    if not (np.isfinite(zeta_grid).all() and np.isfinite(alpha_max) and alpha_max > 0):
+        raise MalformedInputError(f"need finite zetas and a finite positive alpha_max, got alpha_max {alpha_max}")
     counts = dict.fromkeys(("evaluations", "newton", "bisections", "probes"), 0)
     points = []
     warm = 0.0
@@ -429,10 +428,9 @@ def rate_function(
         except NUMERIC_ERRORS:
             points.append(RatePoint(zeta=zeta, rate=np.inf, alpha_star=np.nan, converged=False))
             continue
-        if not converged:
-            points.append(RatePoint(zeta=zeta, rate=np.inf, alpha_star=astar, converged=False))
-        else:
-            points.append(RatePoint(zeta=zeta, rate=astar * zeta - e, alpha_star=astar, converged=True))
+        rate = astar * zeta - e if converged else np.inf
+        points.append(RatePoint(zeta=zeta, rate=rate, alpha_star=astar, converged=converged))
+        if converged:
             warm = astar
     n = max(len(points), 1)
     log.debug(

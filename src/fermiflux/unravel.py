@@ -303,15 +303,22 @@ def simulate_batch(
 ) -> list:
     """Independent trajectories up to time ``horizon``, with seeds base_seed, base_seed+1, ...
 
-    Trajectories run in lockstep chunks of at most CHUNK_ENTRIES / d^2.
+    ``rho0`` must be a 2^L x 2^L density matrix: Hermitian, positive
+    semidefinite and of unit trace to 1e-8.  Trajectories run in lockstep
+    chunks of at most CHUNK_ENTRIES / d^2.
     """
     if n_trajectories < 1:
         raise MalformedInputError("need at least one trajectory")
     if not (np.isfinite(horizon) and horizon > 0):
         raise MalformedInputError("horizon must be finite and positive")
     rho0 = np.array(rho0, dtype=complex)
+    d = 2**model.n_modes
+    if rho0.shape != (d, d):
+        raise MalformedInputError(f"rho0 must be {d} x {d} for {model.n_modes} modes, got shape {rho0.shape}")
     if abs(np.trace(rho0).real - 1.0) > 1e-8:
         raise MalformedInputError("rho0 must have unit trace")
+    if not (np.abs(rho0 - rho0.conj().T).max() <= 1e-8 and np.linalg.eigvalsh(rho0).min() >= -1e-8):  # nan fails
+        raise MalformedInputError("rho0 must be Hermitian and positive semidefinite")
     ctx = _make_context(model)
     seeds = range(base_seed, base_seed + n_trajectories)
     jumps, evaluations, rounds = [[] for _ in seeds], 0, 0
@@ -359,15 +366,20 @@ class CgfEstimate:
 def empirical_cgf(records, alpha) -> CgfEstimate:
     """(1/T) log mean exp(<alpha, N_T>) with a 99% percentile-bootstrap confidence interval.
 
-    Needs at least 100 records and resamples them 2000 times.  The effective
-    sample size (sum w)^2 / sum w^2 guards against estimates dominated by a
-    handful of trajectories; below 30 the estimate is flagged unreliable.
+    Needs at least 100 records of one horizon and one alpha entry per bath,
+    and resamples the records 2000 times.  The effective sample size
+    (sum w)^2 / sum w^2 guards against estimates dominated by a handful of
+    trajectories; below 30 the estimate is flagged unreliable.
     """
     records = list(records)
     if len(records) < 100:
         raise MalformedInputError(f"need at least 100 records, got {len(records)}")
     horizon = records[0].horizon
+    if any(r.horizon != horizon for r in records):
+        raise MalformedInputError("records must share one horizon")
     alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != records[0].totals.shape:
+        raise MalformedInputError(f"alpha must have one entry per bath ({records[0].totals.size}), got {alpha.shape}")
     exponents = np.array([float(alpha @ r.totals) for r in records])
     shift = exponents.max()
     w = np.exp(exponents - shift)

@@ -222,9 +222,7 @@ def _failing_past(fn, limit):
 
 class TestNumericFailure:
     def test_rate_marks_points_and_exits_4(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            deviations, "e_two_bath_derivatives", _failing_past(deviations.e_two_bath_derivatives, 1.0)
-        )
+        monkeypatch.setattr(deviations, "e_derivatives", _failing_past(deviations.e_derivatives, 1.0))
         out = tmp_path / "rate.csv"
         code = run_cli([
             "rate", "--chain-L", "2", "--zeta-min", "0.05", "--zeta-max", "0.5",
@@ -274,6 +272,21 @@ class TestRate:
         _, rows = read_rows(out)
         assert len(rows) == 3
         assert all(r[1] == "inf" and r[3] == "0" for r in rows)
+
+    def test_three_bath_model_file(self, tmp_path):
+        # bath 0's marginal of a 3-bath model
+        model = random_thermal_model(np.random.default_rng(0), n_modes=3, n_baths=3, kind="uniform")
+        path = tmp_path / "model.json"
+        thermal.save_model(model, path)
+        out = tmp_path / "rate.csv"
+        code = run_cli([
+            "rate", "--model", str(path), "--points", "7", "--zeta-min", "-0.2", "--zeta-max", "0.2",
+            "--out", str(out),
+        ])
+        assert code == 0
+        header, rows = read_rows(out)
+        assert header == ["zeta", "I", "alpha_star", "converged"]
+        assert len(rows) == 7 and all(r[3] == "1" for r in rows)
 
     def test_grid_containing_mean_flux(self, tmp_path):
         j = 0.09242343145200196

@@ -1,3 +1,4 @@
+import functools
 import gc
 import logging
 import sys
@@ -13,7 +14,6 @@ from fermiflux.errors import (
     DegenerateSpectrumError,
     MalformedInputError,
     NotErgodicError,
-    UnsupportedModelError,
     ValidationError,
 )
 from fermiflux.phasespace import Basis, CouplingMatrix
@@ -62,6 +62,32 @@ def _one_bath_blocks(seed):
     model = random_thermal_model(np.random.default_rng(seed), n_modes=2, n_baths=2, kind="spectral")
     assert all(b.baths.size == 1 for b in deviations._factors(model))
     return model
+
+
+# 3- and 4-bath draws of every randgen family at L = 2..4 (a pairing draw needs L <= n_baths)
+_MANY_BATH_SPECS = [
+    (kind, n, nb)
+    for kind in ("uniform", "spectral", "tr_broken")
+    for nb in (3, 4)
+    for n in range(2, 5)
+    if kind != "spectral" or n <= nb
+]
+MANY_BATHS = [f"{kind}-L{n}-{nb}baths" for kind, n, nb in _MANY_BATH_SPECS]
+# the pairing draws with L = n_baths reach each block from one bath: e(a e_0) = 0 and J_0 = 0
+DEGENERATE = ["spectral-L3-3baths", "spectral-L4-4baths"]
+
+
+@functools.cache
+def _many_bath_draws():
+    r = np.random.default_rng(5)
+    return {
+        case: random_thermal_model(r, n_modes=n, n_baths=nb, kind=kind)
+        for case, (kind, n, nb) in zip(MANY_BATHS, _MANY_BATH_SPECS)
+    }
+
+
+def _along_bath0(model, a):
+    return [a] + [0.0] * (model.n_baths - 1)
 
 
 class TestBlocks:
@@ -184,7 +210,7 @@ class TestEAlpha:
         with pytest.raises(NotErgodicError):
             deviations.e_alpha(model, [0.1, 0.0])
         with pytest.raises(NotErgodicError):
-            deviations.e_two_bath_derivatives(model, 0.1)
+            deviations.e_derivatives(model, 0.1)
         with pytest.raises(NotErgodicError):
             deviations.riccati_max(model, [0.1, 0.0])
 
@@ -196,7 +222,7 @@ class TestEAlpha:
         with pytest.raises(DegenerateSpectrumError, match="right of the axis"):
             deviations.riccati_max(model, [0.1, 0.0])
         with pytest.raises(DegenerateSpectrumError, match="right of the axis"):
-            deviations.e_two_bath_derivatives(model, 0.1)
+            deviations.e_derivatives(model, 0.1)
 
     def test_gradient_is_flux(self, chain2):
         # d e / d alpha at 0 equals +J: the adopted global sign convention
@@ -207,6 +233,27 @@ class TestEAlpha:
             a[i] = eps
             de = (deviations.e_alpha(chain2, a) - deviations.e_alpha(chain2, -a)) / (2 * eps)
             assert abs(de - j[i]) < 1e-5
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda m: deviations.e_alpha(m, [np.nan, 0.0]), id="e_alpha-nan"),
+            pytest.param(lambda m: deviations.e_alpha(m, [np.inf, 0.0]), id="e_alpha-inf"),
+            pytest.param(lambda m: deviations.riccati_max(m, [np.nan, 0.0]), id="riccati_max-nan"),
+            pytest.param(lambda m: deviations.z_matrix(m, [0.0, -np.inf]), id="z_matrix-inf"),
+            pytest.param(lambda m: deviations.e_derivatives(m, np.nan), id="e_derivatives-nan"),
+            pytest.param(lambda m: deviations.e_derivatives(m, -np.inf), id="e_derivatives-inf"),
+            pytest.param(lambda m: deviations.rate_function(m, [np.nan]), id="rate-zeta-nan"),
+            pytest.param(lambda m: deviations.rate_function(m, [0.0, np.inf]), id="rate-zeta-inf"),
+            pytest.param(lambda m: deviations.rate_function(m, [0.05], alpha_max=np.nan), id="rate-alpha_max-nan"),
+            pytest.param(lambda m: deviations.rate_function(m, [0.05], alpha_max=np.inf), id="rate-alpha_max-inf"),
+            pytest.param(lambda m: deviations.rate_function(m, [0.05], alpha_max=-1.0), id="rate-alpha_max-negative"),
+            pytest.param(lambda m: deviations.rate_function(m, [0.05], alpha_max=0.0), id="rate-alpha_max-zero"),
+        ],
+    )
+    def test_malformed_input_refused(self, chain2, call):
+        with pytest.raises(MalformedInputError):
+            call(chain2)
 
 
 class TestRiccati:
@@ -315,11 +362,6 @@ class TestTwoBathReduction:
             right = deviations.e_alpha(chain2, [-gap / 2 - u, 0.0])
             assert abs(left - right) < 1e-9
 
-    def test_needs_two_baths(self):
-        model = make_models(12, 1, n_baths=3)[0]
-        with pytest.raises(UnsupportedModelError):
-            deviations.e_two_bath_derivatives(model, 0.1)
-
 
 class TestRateFunction:
     def test_zero_at_mean_flux(self, chain2):
@@ -358,25 +400,50 @@ class TestRateFunction:
         with pytest.raises(NotErgodicError):
             deviations.rate_function(model, [0.0, 0.05])
 
-    def test_two_bath_required(self):
-        model = make_models(13, 1, n_baths=3)[0]
-        with pytest.raises(UnsupportedModelError):
-            deviations.rate_function(model, [0.0])
+    @pytest.mark.parametrize("case", [c for c in MANY_BATHS if c not in DEGENERATE])
+    def test_marginal_of_many_baths(self, case):
+        # bath 0's rate function: zero at J_0, and a* zeta - I is e(a* e_0) by the Fock oracle
+        model = _many_bath_draws()[case]
+        j = thermal.fluxes(model, dynamics.stationary_covariance(model))[0]
+        assert abs(j) > 1e-3
+        curve = deviations.rate_function(model, j + abs(j) * np.linspace(-2.0, 2.0, 5))
+        assert curve.rates.min() >= -1e-12
+        assert curve.points[2].zeta == j and curve.points[2].rate < 1e-10
+        assert curve.points[2].converged
+        for p in curve.points:
+            if p.converged:
+                lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, _along_bath0(model, p.alpha_star)))
+                assert abs(lam.real - (p.alpha_star * p.zeta - p.rate)) <= 1e-10
+
+    @pytest.mark.parametrize("case", DEGENERATE)
+    def test_degenerate_marginal(self, case):
+        # N_0 = 0 on these draws: every zeta != 0 is out of reach
+        model = _many_bath_draws()[case]
+        assert max(abs(deviations.e_alpha(model, _along_bath0(model, a))) for a in (-3.0, 5.0)) <= 1e-12
+        for p in deviations.rate_function(model, [-0.2, -0.05, 0.05, 0.2]).points:
+            assert p.rate == np.inf and not p.converged
 
 
 class TestDerivatives:
-    @pytest.mark.parametrize("case", [*range(2, 11), "one-bath-blocks-0", "one-bath-blocks-1", "one-bath-blocks-2"])
+    @pytest.mark.parametrize(
+        "case", [*range(2, 11), "one-bath-blocks-0", "one-bath-blocks-1", "one-bath-blocks-2", *MANY_BATHS]
+    )
     def test_slope_at_zero_is_the_flux(self, case):
         if isinstance(case, int):
             spec = chain.ChainSpec(length=case)
-            _, d1, _ = deviations.e_two_bath_derivatives(chain.build(spec), 0.0)
+            _, d1, _ = deviations.e_derivatives(chain.build(spec), 0.0)
             assert abs(d1 - chain.closed_form(spec).flux) <= 1e-12
+            return
+        if case in MANY_BATHS:
+            model = _many_bath_draws()[case]
+            _, d1, _ = deviations.e_derivatives(model, 0.0)
+            assert abs(d1 - thermal.fluxes(model, dynamics.stationary_covariance(model))[0]) <= 1e-12
             return
         # no energy is exchanged, so the flux and e, e', e'' vanish at every a
         model = _one_bath_blocks(int(case[-1]))
         assert abs(thermal.fluxes(model, dynamics.stationary_covariance(model))[0]) <= 1e-12
         for a in np.linspace(-50.0, 50.0, 21):
-            assert np.max(np.abs(deviations.e_two_bath_derivatives(model, a))) <= 1e-14
+            assert np.max(np.abs(deviations.e_derivatives(model, a))) <= 1e-14
 
     def test_against_central_differences(self):
         models = [chain.build(chain.ChainSpec(length=n)) for n in (2, 5)]
@@ -387,12 +454,13 @@ class TestDerivatives:
         # the L=2 pairing draw has e = 0 identically, the other two do not
         assert max(abs(deviations.e_alpha(models[-3], [a, 0.0])) for a in (-3.0, 5.0)) <= 1e-12
         assert min(abs(deviations.e_alpha(m, [2.0, 0.0])) for m in models[-2:]) > 1e-3
+        models += _many_bath_draws().values()
         for model in models:
             def e(x):
-                return deviations.e_alpha(model, [x, 0.0])
+                return deviations.e_alpha(model, _along_bath0(model, x))
 
             for a in (-3.0, -1.0, 0.5, 2.0, 5.0):
-                e0, d1, d2 = deviations.e_two_bath_derivatives(model, a)
+                e0, d1, d2 = deviations.e_derivatives(model, a)
                 assert abs(e0 - e(a)) <= 1e-12 * max(1.0, abs(e0))
                 h, k = 1e-4, 1e-3
                 assert abs(d1 - (e(a + h) - e(a - h)) / (2 * h)) <= 1e-8 * max(1.0, abs(d1))
@@ -400,7 +468,7 @@ class TestDerivatives:
 
 
 def _golden_legendre(model, zetas, alpha_max=deviations.ALPHA_MAX, xtol=1e-10):
-    """Reference I(zeta): an expanding bracket and golden section on a zeta - e_two_bath(a), warm-started."""
+    """Reference I(zeta): an expanding bracket and golden section on a zeta - e((a, 0)), warm-started."""
     g = (np.sqrt(5.0) - 1.0) / 2.0
     out, warm = [], 0.0
     for zeta in zetas:
@@ -448,13 +516,13 @@ class TestLegendreNewton:
         model = chain.build(spec)
         ref = _golden_legendre(model, zetas)
         calls = []
-        inner = deviations.e_two_bath_derivatives
+        inner = deviations.e_derivatives
 
         def counted(m, a):
             calls.append(a)
             return inner(m, a)
 
-        monkeypatch.setattr(deviations, "e_two_bath_derivatives", counted)
+        monkeypatch.setattr(deviations, "e_derivatives", counted)
         curve = deviations.rate_function(model, zetas)
         assert all(p.converged for p in curve.points)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
@@ -473,7 +541,7 @@ class TestLegendreNewton:
             return a * np.arctan(a) - 0.5 * np.log1p(a * a), np.arctan(a), 1.0 / (1.0 + a * a)
 
         calls = []
-        monkeypatch.setattr(deviations, "e_two_bath_derivatives", arctan_cgf)
+        monkeypatch.setattr(deviations, "e_derivatives", arctan_cgf)
         counts = dict.fromkeys(("evaluations", "newton", "bisections", "probes"), 0)
         a, _, converged = deviations._legendre_point(chain2, 0.0, start, 50.0, counts)
         assert converged and abs(a) <= 1e-10

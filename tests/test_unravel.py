@@ -112,6 +112,21 @@ class TestSimulate:
         with pytest.raises(MalformedInputError):
             unravel.simulate_batch(model, scale * rho0, 10.0, 2, base_seed=0)
 
+    @pytest.mark.parametrize(
+        "rho0",
+        [
+            np.eye(2) / 2.0,
+            np.diag([1.5, -0.5, 0.0, 0.0]),
+            np.eye(4) / 4.0 + np.triu(np.ones((4, 4)), 1) * 1e-3,
+            np.diag([np.nan, 0.5, 0.25, 0.25]),
+        ],
+        ids=["wrong-size", "negative", "not-hermitian", "nan"],
+    )
+    def test_rho0_must_be_a_density_matrix(self, chain2_setup, rho0):
+        model, _, _ = chain2_setup
+        with pytest.raises(MalformedInputError):
+            unravel.simulate_batch(model, rho0, 10.0, 2, base_seed=0)
+
     def test_seeded_determinism(self, chain2_setup):
         model, rho0, _ = chain2_setup
         r1 = unravel.simulate_batch(model, rho0, 25.0, 1, base_seed=99)[0]
@@ -408,6 +423,17 @@ class TestEmpiricalCgf:
     def test_needs_enough_records(self, records):
         with pytest.raises(MalformedInputError):
             unravel.empirical_cgf(records[:10], [0.1, 0.0])
+
+    @pytest.mark.parametrize("alpha", [[0.1], [0.1, 0.0, 0.0]], ids=["short", "long"])
+    def test_alpha_needs_one_entry_per_bath(self, records, alpha):
+        with pytest.raises(MalformedInputError):
+            unravel.empirical_cgf(records, alpha)
+
+    def test_records_need_one_horizon(self, records):
+        r = records[-1]
+        other = unravel.TrajectoryRecord(seed=r.seed, horizon=2.0 * r.horizon, jumps=r.jumps, totals=r.totals)
+        with pytest.raises(MalformedInputError):
+            unravel.empirical_cgf(records[:-1] + [other], [0.1, 0.0])
 
 
 class TestSerialization:
