@@ -99,7 +99,7 @@ class _Block:
     u: np.ndarray        # U, orthonormal columns
     a: np.ndarray        # A_w
     c_plus: np.ndarray   # (n_baths, m * m): n_i(w) D_iw, flattened
-    c_minus: np.ndarray  # (n_baths, m * m): (1 - n_i(w)) D_iw, flattened
+    c_minus: np.ndarray  # (n_baths, m * m): (1 - n_i(w)) D_iw = expit(-beta_i w) D_iw, flattened
 
     def z(self, alpha: np.ndarray) -> np.ndarray:
         """Z_w(alpha), filled in place (np.block costs as much as a small eigensolve)."""
@@ -145,7 +145,7 @@ def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
         a = -1j * u.conj().T @ model.t_s.maj @ u + np.tensordot(n - 0.5, d, axes=1)
         trace = float(np.trace(d, axis1=1, axis2=2).real.sum())
         d = d.reshape(nb, m * m)
-        parts = (np.flatnonzero(np.any(d, axis=1)), u, a, n[:, None] * d, (1.0 - n)[:, None] * d)
+        parts = (np.flatnonzero(np.any(d, axis=1)), u, a, n[:, None] * d, expit(-model.betas * w)[:, None] * d)
         blocks.append(_Block(w, trace, *map(_frozen, parts)))
     log.debug("out-of-support coupling %.3e relative to max(1, ||Theta_i||), limit %.1e", worst, ps.DEFAULT_TOL)
     return tuple(blocks)

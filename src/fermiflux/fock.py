@@ -27,7 +27,7 @@ import scipy.linalg as sla
 
 from . import superop as so
 from .errors import MalformedInputError, ResourceLimitError
-from .phasespace import Basis, PhaseSpaceMatrix, covariance_generator, gibbs_covariance
+from .phasespace import Basis, PhaseSpaceMatrix, gibbs_covariance
 from .thermal import ThermalQuasiFreeModel
 
 L_MAX = 6
@@ -104,12 +104,8 @@ def covariance_of(rho: np.ndarray) -> PhaseSpaceMatrix:
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-8:
         raise MalformedInputError(f"state must have unit trace, got {tr:.6g}")
-    gammas = majorana_matrices(n_modes)
-    m = np.empty((2 * n_modes, 2 * n_modes), dtype=complex)
-    grho = [g @ rho for g in gammas]
-    for i, gi in enumerate(gammas):
-        for j in range(2 * n_modes):
-            m[i, j] = 0.5 * np.trace(grho[j] @ gi)  # tr(g_i g_j rho) cyclic
+    g = np.array(majorana_matrices(n_modes))
+    m = 0.5 * np.einsum("iab,jba->ij", g, g @ rho)  # tr(g_i g_j rho)/2, cyclic
     return PhaseSpaceMatrix(m, Basis.MAJORANA)
 
 
@@ -122,20 +118,24 @@ class QuasiFreeState:
 
 
 def quasi_free_state(m: PhaseSpaceMatrix) -> QuasiFreeState:
-    """Gaussian state with covariance m, via rho = exp(Q(logit m)) / Z.
+    """Gaussian state with covariance m, as a product over its normal modes.
 
-    The logit is that of :func:`phasespace.covariance_generator`, which clamps
-    the covariance spectrum so boundary (pure-mode) covariances are handled as
-    smooth limits.
+    Each eigenpair (nu >= 1/2, u) of m gives the mode b^dagger = sum_j u_j
+    gamma_j / sqrt(2) with occupation 1 - nu, and rho = prod_k (nu_k (1 - n_k)
+    + (1 - nu_k) n_k) with n_k = b_k^dagger b_k.  No logarithm of m is taken,
+    so the state is exact for every spectrum in [0, 1], pure modes included;
+    a mode at nu = 1/2 contributes the scalar 1/2 whatever u is.
     """
-    kappa = covariance_generator(m)
-    h = quadratic_operator(kappa)
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    w = -(w - w.min())  # rho ~ exp(-Q(kappa)), shifted for overflow safety
-    rho = (v * np.exp(w)) @ v.conj().T
-    rho = rho / np.trace(rho).real
-    return QuasiFreeState(density=rho, covariance=m)
+    n_modes = m.n_modes
+    a = m.maj
+    nu, u = np.linalg.eigh(0.5 * (a + a.conj().T))  # ascending: the last L have nu >= 1/2
+    b_dag = np.tensordot(u[:, n_modes:].T, np.array(majorana_matrices(n_modes)), axes=1) / np.sqrt(2.0)
+    eye = np.eye(2**n_modes)
+    rho = eye
+    for nu_k, bd in zip(nu[n_modes:], b_dag):
+        rho = rho @ (nu_k * eye + (1.0 - 2.0 * nu_k) * (bd @ bd.conj().T))
+    rho = 0.5 * (rho + rho.conj().T)
+    return QuasiFreeState(density=rho / np.trace(rho).real, covariance=m)
 
 
 def wick_check(state: QuasiFreeState, indices) -> tuple[complex, complex]:
@@ -218,8 +218,8 @@ def build_deformed(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     cumulant generating function of the energies exchanged with the baths.
     """
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (model.n_baths,):
-        raise MalformedInputError("alpha must have one entry per bath")
+    if alpha.shape != (model.n_baths,) or not np.isfinite(alpha).all():
+        raise MalformedInputError("alpha must have one finite entry per bath")
     scales = [np.exp(0.5 * a * model.bath_modes(i)[0]) for i, a in enumerate(alpha)]
     return lindblad_model(model).generator(scales)
 

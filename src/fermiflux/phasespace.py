@@ -35,7 +35,7 @@ import functools
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.special import expit, logit
+from scipy.special import expit
 
 from .errors import MalformedInputError, ValidationError
 
@@ -209,19 +209,6 @@ def gibbs_covariance(kappa: PhaseSpaceMatrix, beta: float) -> PhaseSpaceMatrix:
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     m = (v * expit(beta * w)) @ v.conj().T
     return PhaseSpaceMatrix(m, Basis.MAJORANA)
-
-
-def covariance_generator(m: PhaseSpaceMatrix) -> PhaseSpaceMatrix:
-    """Inverse of :func:`gibbs_covariance` at beta = 1: kappa with M = (1+e^-kappa)^-1.
-
-    The covariance spectrum is clamped to [1e-9, 1 - 1e-9] before the logit, so
-    boundary (pure-mode) covariances degrade smoothly instead of diverging.
-    """
-    a = m.maj
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    w = np.clip(w, 1e-9, 1.0 - 1e-9)
-    k = (v * logit(w)) @ v.conj().T
-    return PhaseSpaceMatrix(k, Basis.MAJORANA)
 
 
 def embed_gauge_invariant(small: np.ndarray) -> PhaseSpaceMatrix:

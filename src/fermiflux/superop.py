@@ -130,26 +130,21 @@ def detailed_balance_residual(phi_h: np.ndarray, sigma: np.ndarray) -> float:
     """max_A || Phi^*(A sigma) - Phi(A) sigma ||_2 over a matrix-unit basis.
 
     ``phi_h`` is the Heisenberg-picture superoperator of the completely
-    positive part; sigma must be a faithful state.  This is the condition
-    Phi^*(A sigma) sigma^{-1} = Phi(A) multiplied on the right by sigma, so
-    no inverse of sigma, and none of its condition number, enters.
+    positive part; sigma must be a faithful state.  All matrix units are
+    checked at once through the superoperator identity Phi^* R_sigma =
+    R_sigma Phi, with R_sigma the right multiplication by sigma: column E_ab of
+    the difference is Phi^*(E_ab sigma) - Phi(E_ab) sigma.  This is the
+    condition Phi^*(A sigma) sigma^{-1} = Phi(A) multiplied on the right by
+    sigma, so no inverse of sigma, and none of its condition number, enters.
     """
     sigma = np.asarray(sigma, dtype=complex)
     w = np.linalg.eigvalsh(0.5 * (sigma + sigma.conj().T))
     if w.min() <= 0:
         raise MalformedInputError("detailed balance requires a faithful (positive) sigma")
     dim = sigma.shape[0]
-    phi_s = adjoint_super(phi_h)
-    worst = 0.0
-    unit = np.zeros((dim, dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            unit[a, b] = 1.0
-            lhs = unvec(phi_s @ vec(unit @ sigma))
-            rhs = unvec(phi_h @ vec(unit)) @ sigma
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-            unit[a, b] = 0.0
-    return worst
+    r_sigma = right_mul(sigma)
+    diff = adjoint_super(phi_h) @ r_sigma - r_sigma @ phi_h
+    return float(np.linalg.norm(diff.T.reshape(-1, dim, dim), 2, axis=(1, 2)).max())
 
 
 @dataclass(frozen=True, eq=False)

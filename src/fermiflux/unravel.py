@@ -378,8 +378,8 @@ def empirical_cgf(records, alpha) -> CgfEstimate:
     if any(r.horizon != horizon for r in records):
         raise MalformedInputError("records must share one horizon")
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != records[0].totals.shape:
-        raise MalformedInputError(f"alpha must have one entry per bath ({records[0].totals.size}), got {alpha.shape}")
+    if alpha.shape != records[0].totals.shape or not np.isfinite(alpha).all():
+        raise MalformedInputError(f"alpha must have {records[0].totals.size} finite entries, got {alpha.tolist()}")
     exponents = np.array([float(alpha @ r.totals) for r in records])
     shift = exponents.max()
     w = np.exp(exponents - shift)

@@ -331,6 +331,12 @@ class TestOracle:
         _, rows = read_rows(out)
         assert all(r[3] == "1" for r in rows)
 
+    @pytest.mark.parametrize("beta0", [25.0, 40.0])
+    def test_cold_bath_passes(self, beta0):
+        model = chain.build(chain.ChainSpec(length=2, beta0=beta0))
+        failed = [(name, r, tol) for name, r, tol in cli._oracle_checks(model, 4, 0) if not r <= tol]
+        assert failed == []
+
     def test_corrupted_model_fails(self, tmp_path):
         # double the bath energy scale without touching the coupling: the
         # intertwining constraint breaks, and with it detailed balance

@@ -158,6 +158,12 @@ class TestEAlpha:
         lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(chain2, [0.3, 0.0]))
         assert abs(deviations.e_alpha(chain2, [0.3, 0.0]) - lam.real) < 1e-8
 
+    @pytest.mark.parametrize("beta0", [20.0, 30.0, 40.0])
+    def test_gallavotti_cohen_cold_bath(self, beta0):
+        # 1 - n_0(w) = e^-40 at beta0 = 40 must survive: formed as 1 - expit it would be 0
+        model = chain.build(chain.ChainSpec(length=2, beta0=beta0))
+        assert abs(deviations.e_alpha(model, -model.betas)) <= 1e-12
+
     def test_translation_invariance(self, chain2):
         r = np.random.default_rng(4)
         for _ in range(5):
@@ -385,6 +391,13 @@ class TestRateFunction:
         plus = deviations.rate_function(chain2, zetas).rates
         minus = deviations.rate_function(chain2, -zetas).rates
         assert np.max(np.abs((plus - minus) + gap * zetas)) < 1e-6
+
+    def test_asymmetry_at_a_cold_bath(self):
+        model = chain.build(chain.ChainSpec(length=2, beta0=30.0))
+        zetas = np.array([0.02, 0.05, 0.09, 0.2])
+        plus = deviations.rate_function(model, zetas).rates
+        minus = deviations.rate_function(model, -zetas).rates
+        assert np.max(np.abs((plus - minus) + 30.0 * zetas)) < 1e-10
 
     def test_csv_round_formatting(self, chain2):
         curve = deviations.rate_function(chain2, [0.0, 0.05], metadata={"model": "chain2"})

@@ -91,14 +91,25 @@ class TestQuasiFreeStates:
             m = ps.gibbs_covariance(kappa, rng.uniform(-1, 1))
             st = fock.quasi_free_state(m)
             got = fock.covariance_of(st.density)
-            assert np.max(np.abs(got.maj - m.maj)) < 1e-8
+            assert np.max(np.abs(got.maj - m.maj)) < 1e-13
 
-    def test_boundary_covariance_clamped(self):
-        # pure vacuum covariance has spectrum {0, 1}; clamping keeps it finite
+    def test_pure_vacuum_exact(self):
+        # spectrum {0, 1}: the normal-mode product takes the pure mode as it is
         m = PhaseSpaceMatrix(np.diag([1.0, 0.0]), Basis.CA)
         st = fock.quasi_free_state(m)
         vac = np.diag([1.0, 0.0]).astype(complex)
-        assert np.max(np.abs(st.density - vac)) < 1e-6
+        assert np.max(np.abs(st.density - vac)) < 1e-14
+
+    @pytest.mark.parametrize("beta_w", [20.0, 30.0, 40.0, 60.0])
+    def test_exact_at_large_beta_w(self, rng, beta_w):
+        # the largest |beta w| of the Gibbs covariance is beta_w, far past where a logit of m saturates
+        r = rng.normal(size=(6, 6))
+        kappa = 1j * (r - r.T)
+        kappa = PhaseSpaceMatrix(kappa * beta_w / np.abs(np.linalg.eigvalsh(kappa)).max(), Basis.MAJORANA)
+        st = fock.quasi_free_state(ps.gibbs_covariance(kappa, 1.0))
+        direct = sla.expm(-fock.quadratic_operator(kappa))
+        direct /= np.trace(direct)
+        assert np.max(np.abs(st.density - direct)) < 1e-13
 
 
 class TestCovarianceOf:
@@ -265,6 +276,10 @@ class TestDeformed:
         lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(chain2, [0.3, 0.0]))
         assert abs(lam.real - deviations.e_alpha(chain2, [0.3, 0.0])) < 1e-8
 
+    @pytest.mark.parametrize("alpha", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0], [0.3]])
+    def test_malformed_alpha_refused(self, chain2, alpha):
+        with pytest.raises(MalformedInputError):
+            fock.build_deformed(chain2, alpha)
 
     def test_matches_e_alpha_on_pairing_models(self):
         # the tilt acts on the bath quantum, so Fock keeps up with the blocks at large alpha
@@ -318,6 +333,22 @@ class TestDiscreteStep:
         assert np.max(np.abs(u @ k_tot - k_tot @ u)) < 1e-12
 
 
+def _detailed_balance_loop(phi_h, sigma):
+    """max_A || Phi^*(A sigma) - Phi(A) sigma ||_2 over the matrix units A = E_ab, one at a time."""
+    dim = sigma.shape[0]
+    phi_s = so.adjoint_super(phi_h)
+    worst = 0.0
+    unit = np.zeros((dim, dim), dtype=complex)
+    for a in range(dim):
+        for b in range(dim):
+            unit[a, b] = 1.0
+            lhs = so.unvec(phi_s @ so.vec(unit @ sigma))
+            rhs = so.unvec(phi_h @ so.vec(unit)) @ sigma
+            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
+            unit[a, b] = 0.0
+    return worst
+
+
 class TestDetailedBalance:
     def test_quasi_free_bath_pieces(self, chain2):
         for i in range(chain2.n_baths):
@@ -343,6 +374,34 @@ class TestDetailedBalance:
                 ).density
                 resid = so.detailed_balance_residual(fock.lindblad_model(model).phi_heisenberg(i), sigma)
                 assert resid < 1e-10
+
+    def test_matches_matrix_unit_loop(self):
+        models = make_models(11, 3, n_modes=2, n_baths=2)
+        models += make_models(12, 2, n_modes=3, n_baths=3, kind="spectral")
+        models += make_models(13, 1, n_modes=4, n_baths=2, kind="tr_broken")
+        for model in models:
+            lm = fock.lindblad_model(model)
+            for i in range(model.n_baths):
+                phi = lm.phi_heisenberg(i)
+                sigma = fock.quasi_free_state(model.gibbs_system_covariance(model.baths[i].beta)).density
+                assert abs(so.detailed_balance_residual(phi, sigma) - _detailed_balance_loop(phi, sigma)) < 1e-15
+                # a Gibbs state at the wrong temperature: both report the same O(1) violation
+                wrong = fock.quasi_free_state(model.gibbs_system_covariance(0.123)).density
+                ref = _detailed_balance_loop(phi, wrong)
+                assert ref > 1e-3
+                assert abs(so.detailed_balance_residual(phi, wrong) - ref) < 1e-13 * ref
+
+    def test_non_faithful_sigma_refused(self, chain2):
+        vacuum = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(MalformedInputError):
+            so.detailed_balance_residual(fock.lindblad_model(chain2).phi_heisenberg(0), vacuum)
+
+    @pytest.mark.parametrize("beta0", [25.0, 40.0])
+    def test_cold_bath_balanced(self, beta0):
+        # bath 0's modes sit e^-beta0 from pure; an exact state keeps the residual at rounding
+        model = chain.build(chain.ChainSpec(length=2, beta0=beta0))
+        sigma = fock.quasi_free_state(model.gibbs_system_covariance(beta0)).density
+        assert so.detailed_balance_residual(fock.lindblad_model(model).phi_heisenberg(0), sigma) < 1e-14
 
     def test_perturbed_coupling_fails(self, chain2):
         b0 = chain2.baths[0]

@@ -129,12 +129,6 @@ class TestGibbsCovariance:
         assert np.max(np.abs(ps.xi_transpose(m).maj - m_neg.maj)) < 1e-10
         assert np.max(np.abs(m_neg.maj - (np.eye(4) - m.maj))) < 1e-10
 
-    def test_generator_round_trip(self, rng):
-        kappa = random_generator(rng, 2)
-        m = ps.gibbs_covariance(kappa, 1.0)
-        back = ps.covariance_generator(m)
-        assert np.max(np.abs(back.maj - kappa.maj)) < 1e-8
-
 
 class TestValidation:
     def test_generator_structure(self, rng):

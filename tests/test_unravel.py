@@ -60,6 +60,8 @@ class TestChannels:
         models += make_models(42, 1, n_modes=3, n_baths=3, kind="spectral")
         models += make_models(43, 1, n_modes=3, n_baths=3, kind="uniform")
         models += make_models(44, 1, n_modes=2, n_baths=3, kind="tr_broken")
+        # the projector route weighs bath states by a Gibbs state with beta w = 40
+        models.append(chain.build(chain.ChainSpec(length=2, beta0=40.0)))
         for model in models:
             unravel.extract_channels(model, cross_check=True)
 
@@ -424,7 +426,11 @@ class TestEmpiricalCgf:
         with pytest.raises(MalformedInputError):
             unravel.empirical_cgf(records[:10], [0.1, 0.0])
 
-    @pytest.mark.parametrize("alpha", [[0.1], [0.1, 0.0, 0.0]], ids=["short", "long"])
+    @pytest.mark.parametrize(
+        "alpha",
+        [[0.1], [0.1, 0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]],
+        ids=["short", "long", "nan", "inf", "-inf"],
+    )
     def test_alpha_needs_one_entry_per_bath(self, records, alpha):
         with pytest.raises(MalformedInputError):
             unravel.empirical_cgf(records, alpha)
