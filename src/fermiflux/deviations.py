@@ -44,6 +44,19 @@ the spectrum is the same and B+ and B- are balanced.  For the chain, kappa_S
 is the particle number and the blocks are its particle and hole sectors.
 ``z_matrix`` assembles the whole Z from the blocks.
 
+The blocks come in mirror pairs w <-> -w.  In the Majorana basis kappa_S,
+T_S and every kappa_i are purely imaginary and Theta_i Theta_i^* is real, so
+U_{-w} = conj(U_w) up to a basis of the eigenspace, D_{i,-w} = conj(D_iw)
+and n_i(-w) = 1 - n_i(w); hence Z_{-w}(alpha) = P conj(Z_w(alpha)) P, with P
+the swap of the two halves, at every alpha.  The mirror has the conjugate
+spectrum, the same trace, the same baths and so the same shift: it adds to
+e, e' and e'' exactly what its partner adds.  ``e_alpha`` and
+``e_derivatives`` therefore solve only the blocks with w >= 0 and count a
+w > 0 block twice.  A w = 0 block (its own mirror) counts once, and it does
+not depend on alpha: every e^{+-alpha_i w} is 1 at w = 0.  ``_build_factors``
+refuses a model whose blocks do not pair up this way; ``riccati_max`` and
+``z_matrix``, which need X or Z on every block, still solve them all.
+
 Bath 0's energy alone has the rate function I(zeta) = sup_a (a zeta - e(a e_0)),
 for any number of baths (list bath k first for bath k's).  Sign conventions
 (pinned against the Fock oracle and the jump Monte Carlo): grad e(0) = +J
@@ -94,6 +107,7 @@ class _Block:
     """The alpha-independent factors of Z on the eigenspace U of kappa_S at energy w."""
 
     w: float
+    weight: int          # times e counts the block: 2 for w > 0 (it and its -w mirror), 1 for w = 0, 0 for w < 0
     trace: float         # sum_i tr D_iw
     baths: np.ndarray    # indices i of the baths with D_iw != 0
     u: np.ndarray        # U, orthonormal columns
@@ -118,11 +132,16 @@ class _Block:
 
 
 def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
-    """One _Block per eigenspace of kappa_S."""
+    """One _Block per eigenspace of kappa_S, by increasing w; a w within rounding of 0 is taken as 0.
+
+    InternalConsistencyError unless the block at w and the one at -w have the
+    same dimension, the same baths and the same trace (see the module docstring).
+    """
     kappa = model.kappa_s.maj
     us = ps.eigenspaces(kappa)
     ws = [float(np.trace(u.conj().T @ kappa @ u).real) / u.shape[1] for u in us]
     tol = ps.CLUSTER_RTOL * max(1.0, max(map(abs, ws)))
+    ws = [0.0 if abs(w) <= tol else w for w in ws]
     modes = [model.bath_modes(i) for i in range(model.n_baths)]
     scales = [max(1.0, np.linalg.norm(tb, 2)) for _, _, tb in modes]
     nb, blocks, worst = model.n_baths, [], 0.0
@@ -146,8 +165,19 @@ def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
         trace = float(np.trace(d, axis1=1, axis2=2).real.sum())
         d = d.reshape(nb, m * m)
         parts = (np.flatnonzero(np.any(d, axis=1)), u, a, n[:, None] * d, expit(-model.betas * w)[:, None] * d)
-        blocks.append(_Block(w, trace, *map(_frozen, parts)))
+        blocks.append(_Block(w, 2 if w > 0 else int(w == 0), trace, *map(_frozen, parts)))
     log.debug("out-of-support coupling %.3e relative to max(1, ||Theta_i||), limit %.1e", worst, ps.DEFAULT_TOL)
+    for b, p in zip(blocks, reversed(blocks)):
+        if not (
+            abs(b.w + p.w) <= tol
+            and b.a.shape == p.a.shape
+            and np.array_equal(b.baths, p.baths)
+            and abs(b.trace - p.trace) <= ps.DEFAULT_TOL * max(1.0, abs(b.trace))
+        ):
+            raise InternalConsistencyError(
+                f"the kappa_S block at {b.w:.6g} (dimension {b.a.shape[0]}, trace {b.trace:.6g}) has no mirror: "
+                f"the block at {p.w:.6g} has dimension {p.a.shape[0]}, trace {p.trace:.6g}"
+            )
     return tuple(blocks)
 
 
@@ -192,13 +222,14 @@ def z_matrix(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
 def e_alpha(model: ThermalQuasiFreeModel, alpha) -> float:
     """Cumulant generating function (1/4) sum_w sum |Re lambda(Z_w)| - (1/4) sum_w trace_w.
 
-    Ergodicity is the caller's precondition (``dynamics.require_ergodic``):
-    only a block that no bath reaches is refused here, with NotErgodicError.
+    Summed over the blocks with w >= 0, by their weights.  Ergodicity is the
+    caller's precondition (``dynamics.require_ergodic``): only a block that
+    no bath reaches is refused here, with NotErgodicError.
     """
     alpha = _check_alpha(model, alpha)
-    blocks = _ergodic_factors(model)
-    abs_re = sum(np.abs(np.linalg.eigvals(b.z(alpha - b.shift(alpha))).real).sum() for b in blocks)
-    return float(0.25 * abs_re - 0.25 * sum(b.trace for b in blocks))
+    blocks = [b for b in _ergodic_factors(model) if b.weight]
+    abs_re = sum(b.weight * np.abs(np.linalg.eigvals(b.z(alpha - b.shift(alpha))).real).sum() for b in blocks)
+    return float(0.25 * abs_re - 0.25 * sum(b.weight * b.trace for b in blocks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +321,14 @@ def e_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float,
     with + and - the eigenvalues right and left of the imaginary axis.  The
     ++ cross terms cancel in pairs, so every denominator is at least twice
     the smallest |Re lambda|.  A block that one bath alone reaches adds
-    only rounding to either derivative: its shift absorbs the tilt.  Raises
+    only rounding to either derivative: its shift absorbs the tilt.  Only
+    the blocks with w >= 0 are solved, summed by their weights.  Raises
     MalformedInputError for a non-finite a, NotErgodicError if no bath reaches
     a block, DegenerateSpectrumError as ``_block_eig`` does, and
     NumericDegeneracyError when cond(X) (Frobenius norm) passes 1e12.
     """
     alpha = _check_alpha(model, [a] + [0.0] * (model.n_baths - 1))
-    blocks = _ergodic_factors(model)
+    blocks = [b for b in _ergodic_factors(model) if b.weight]
     abs_re, d1, d2 = 0.0, 0.0, 0.0
     for b in blocks:
         c, _, lam, x, plus = _block_eig(b, alpha)
@@ -305,16 +337,16 @@ def e_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float,
         cond = np.linalg.norm(x) * np.linalg.norm(y)
         if not np.isfinite(cond) or cond > 1e12:
             raise NumericDegeneracyError(f"eigenvector matrix is singular (cond {cond:.3e})")
-        abs_re += np.abs(lam.real).sum()
+        abs_re += b.weight * np.abs(lam.real).sum()
         tilt = np.exp((a - c) * b.w)
         # Y Z_w' X = p - q and Y Z_w'' X = w (p + q)
         p = y[:, :m] @ ((tilt * b.w) * b.c_plus[0].reshape(m, m)) @ x[m:]
         q = y[:, m:] @ ((b.w / tilt) * b.c_minus[0].reshape(m, m)) @ x[:m]
         mm = p - q
         cross = mm[plus][:, ~plus] * mm[~plus][:, plus].T / (lam[plus, None] - lam[None, ~plus])
-        d1 += 0.5 * np.diagonal(mm)[plus].sum().real
-        d2 += 0.5 * (b.w * np.diagonal(p + q)[plus].sum() + 2.0 * cross.sum()).real
-    e = 0.25 * abs_re - 0.25 * sum(b.trace for b in blocks)
+        d1 += 0.5 * b.weight * np.diagonal(mm)[plus].sum().real
+        d2 += 0.5 * b.weight * (b.w * np.diagonal(p + q)[plus].sum() + 2.0 * cross.sum()).real
+    e = 0.25 * abs_re - 0.25 * sum(b.weight * b.trace for b in blocks)
     return float(e), float(d1), float(d2)
 
 

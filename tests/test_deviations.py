@@ -8,10 +8,13 @@ import weakref
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 
 from fermiflux import chain, deviations, dynamics, fock, randgen, thermal
+from fermiflux import phasespace as ps
 from fermiflux.errors import (
     DegenerateSpectrumError,
+    InternalConsistencyError,
     MalformedInputError,
     NotErgodicError,
     ValidationError,
@@ -830,3 +833,201 @@ class TestFactorCache:
         assert sorted(results) == list(range(8))
         for k, vals in results.items():
             assert vals == expected[k % len(models)]
+
+
+def _all_blocks_e(model, alpha):
+    """e(alpha) summed over every kappa_S block once, the w < 0 mirrors solved as well."""
+    alpha = np.asarray(alpha, dtype=float)
+    blocks = deviations._factors(model)
+    abs_re = sum(np.abs(np.linalg.eigvals(b.z(alpha - b.shift(alpha))).real).sum() for b in blocks)
+    return 0.25 * abs_re - 0.25 * sum(b.trace for b in blocks)
+
+
+def _all_blocks_derivatives(model, a):
+    """(e, e', e'') at a e_0 summed over every kappa_S block once, from the perturbation sums of Z_w' and Z_w''."""
+    alpha = np.array(_along_bath0(model, a))
+    e, d1, d2 = _all_blocks_e(model, alpha), 0.0, 0.0
+    for b in deviations._factors(model):
+        c, m = b.shift(alpha), b.a.shape[0]
+        lam, x = np.linalg.eig(b.z(alpha - c))
+        y = np.linalg.inv(x)
+        up, down = np.exp((a - c) * b.w) * b.c_plus[0].reshape(m, m), np.exp((c - a) * b.w) * b.c_minus[0].reshape(m, m)
+        dz, ddz = np.zeros((2, 2 * m, 2 * m), dtype=complex)
+        dz[:m, m:], dz[m:, :m] = b.w * up, -b.w * down
+        ddz[:m, m:], ddz[m:, :m] = b.w**2 * up, b.w**2 * down
+        mm, nn = y @ dz @ x, y @ ddz @ x
+        plus = lam.real > 0
+        cross = mm[plus][:, ~plus] * mm[~plus][:, plus].T / (lam[plus, None] - lam[None, ~plus])
+        d1 += 0.5 * np.diagonal(mm)[plus].sum().real
+        d2 += 0.5 * (np.diagonal(nn)[plus].sum() + 2.0 * cross.sum()).real
+    return e, d1, d2
+
+
+def _fock_derivatives(model, a):
+    """(e, e', e'') at a e_0 from the Fock deformed generator G(a) = G_0 + e^a G_+ + e^-a G_-.
+
+    Valid when bath 0 exchanges quanta of energy 1 only: G_+ and G_- are read
+    off G(0) and G(+-1), and the derivatives are the perturbation sums of the
+    dominant eigenvalue of G(a).
+    """
+    assert np.allclose(np.abs(model.bath_modes(0)[0]), 1.0)
+
+    def g(x):
+        return fock.build_deformed(model, _along_bath0(model, x))
+
+    g0, g1, gm1 = g(0.0), g(1.0), g(-1.0)
+    odd, even = (g1 - gm1) / (2.0 * np.sinh(1.0)), (g1 + gm1 - 2.0 * g0) / (2.0 * np.cosh(1.0) - 2.0)
+    up, down = np.exp(a) * 0.5 * (even + odd), np.exp(-a) * 0.5 * (even - odd)
+    lam, x = np.linalg.eig(g(a))
+    y = np.linalg.inv(x)
+    k = np.argmax(lam.real)
+    mm, nn = y @ (up - down) @ x, y @ (up + down) @ x
+    rest = np.arange(lam.size) != k
+    return lam[k].real, mm[k, k].real, (nn[k, k] + 2.0 * (mm[k, rest] * mm[rest, k] / (lam[k] - lam[rest])).sum()).real
+
+
+def _zero_energy_model():
+    """L = 3 with a two-dimensional kappa_S eigenspace at w = 0, reached by bath 1 at its own energy 0."""
+    baths = tuple(
+        thermal.BathSpec(
+            beta=beta,
+            kappa=ps.embed_gauge_invariant(omega * np.eye(1)),
+            theta=ps.embed_gauge_invariant_coupling(np.array(theta)[:, None]),
+        )
+        for beta, omega, theta in (
+            (1.0, 1.0, [0.8, 0.0, 0.5]),
+            (0.3, 0.0, [0.0, 0.9, 0.0]),
+            (-0.2, 1.0, [0.3, 0.0, -0.7]),
+        )
+    )
+    return thermal.ThermalQuasiFreeModel(
+        t_s=ps.embed_gauge_invariant(np.diag([0.7, 0.0, -0.4])),
+        kappa_s=ps.embed_gauge_invariant(np.diag([1.0, 0.0, 1.0])),
+        baths=baths,
+    )
+
+
+# chains, every randgen family with 3 and 4 baths, the pairing draws whose blocks
+# one bath reaches each, and those where baths 0 and 2 share a kappa_S eigenvalue
+MIRROR_CASES = [
+    *(f"chain-{n}" for n in (2, 5, 10)),
+    *MANY_BATHS,
+    *(f"one-bath-blocks-{s}" for s in range(3)),
+    *(f"shared-energy-{s}" for s in range(3)),
+]
+
+
+def _mirror_model(case):
+    if case in MANY_BATHS:
+        return _many_bath_draws()[case]
+    if case.startswith("chain"):
+        return chain.build(chain.ChainSpec(length=int(case[6:]), beta0=2.0, betaL=0.5))
+    seed = int(case[-1])
+    if case.startswith("one-bath"):
+        return _one_bath_blocks(seed)
+    return random_thermal_model(np.random.default_rng(seed), n_modes=2, n_baths=3, kind="spectral")
+
+
+def _same_multiset(x, y):
+    """Largest distance between x and y paired one to one, at the pairing that minimises the sum."""
+    d = np.abs(x[:, None] - y[None, :])
+    rows, cols = linear_sum_assignment(d)
+    return d[rows, cols].max()
+
+
+class TestMirrorBlocks:
+    @pytest.mark.parametrize("case", MIRROR_CASES)
+    def test_mirror_spectrum_is_conjugate(self, case):
+        model = _mirror_model(case)
+        blocks = deviations._factors(model)
+        r = np.random.default_rng(61)
+        assert sum(b.weight for b in blocks) == len(blocks)
+        for _ in range(4):
+            alpha = r.uniform(-3.0, 3.0, model.n_baths)
+            for b, mirror in zip(blocks, reversed(blocks)):
+                if b.w <= 0:
+                    continue
+                assert mirror.w == -b.w or abs(mirror.w + b.w) <= 1e-14 * b.w
+                c = b.shift(alpha)
+                assert mirror.shift(alpha) == c
+                lam = np.linalg.eigvals(b.z(alpha - c))
+                lam_mirror = np.linalg.eigvals(mirror.z(alpha - c))
+                assert _same_multiset(lam_mirror, lam.conj()) <= 1e-12 * np.abs(lam).max(), (case, b.w)
+
+    @pytest.mark.parametrize("case", MIRROR_CASES)
+    def test_matches_all_block_sum(self, case):
+        model = _mirror_model(case)
+        r = np.random.default_rng(67)
+        for _ in range(4):
+            alpha = r.uniform(-3.0, 3.0, model.n_baths)
+            ref = _all_blocks_e(model, alpha)
+            assert abs(deviations.e_alpha(model, alpha) - ref) <= 1e-13 * max(1.0, abs(ref))
+        for a in (-3.0, -0.6, 0.0, 1.7, 8.0):
+            got, ref = deviations.e_derivatives(model, a), _all_blocks_derivatives(model, a)
+            assert np.all(np.abs(np.subtract(got, ref)) <= 1e-13 * np.maximum(1.0, np.abs(ref))), (case, a, got, ref)
+
+    def test_half_the_blocks_solved(self, monkeypatch):
+        solved = []
+        block_eig, eigvals = deviations._block_eig, np.linalg.eigvals
+        monkeypatch.setattr(deviations, "_block_eig", lambda b, alpha: solved.append(b.w) or block_eig(b, alpha))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda z: solved.append(None) or eigvals(z))
+        cases = [(chain.build(chain.ChainSpec(length=n)), 1, 2) for n in range(2, 11)]
+        cases += [(_many_bath_draws()[f"spectral-L3-{nb}baths"], 3, 6) for nb in (3, 4)]
+        for model, half, every in cases:
+            solved.clear()
+            deviations.e_derivatives(model, 0.7)
+            assert len(solved) == half and min(solved) > 0
+            solved.clear()
+            deviations.e_alpha(model, _along_bath0(model, 0.7))
+            assert solved == [None] * half
+            solved.clear()
+            deviations.riccati_max(model, _along_bath0(model, 0.7))
+            assert len(solved) == every
+
+    @pytest.mark.parametrize(
+        "case,drop",
+        [
+            pytest.param("chain", lambda us: us[1:], id="chain-block"),
+            pytest.param("spectral", lambda us: us[:2] + us[3:], id="spectral-block"),
+            pytest.param("chain", lambda us: [us[0][:, 1:], *us[1:]], id="chain-dimension"),
+        ],
+    )
+    def test_unpaired_block_refused(self, monkeypatch, case, drop):
+        if case == "chain":
+            model = chain.build(chain.ChainSpec(length=3))
+        else:
+            model = random_thermal_model(np.random.default_rng(3), n_modes=3, n_baths=4, kind="spectral")
+        eigenspaces = ps.eigenspaces
+        monkeypatch.setattr(ps, "eigenspaces", lambda h: drop(eigenspaces(h)))
+        with pytest.raises(InternalConsistencyError, match="has no mirror"):
+            deviations.e_alpha(model, _along_bath0(model, 0.3))
+        with pytest.raises(InternalConsistencyError, match="has no mirror"):
+            deviations.riccati_max(model, _along_bath0(model, 0.3))
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["embedded", "rotated"])
+    def test_zero_energy_block(self, rotated):
+        model = _zero_energy_model()
+        if rotated:
+            # the same model in a rotated Majorana basis: the zero eigenvalues of kappa_S become rounding
+            o, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))
+            model = thermal.ThermalQuasiFreeModel(
+                t_s=ps.PhaseSpaceMatrix(o @ model.t_s.maj @ o.T, Basis.MAJORANA),
+                kappa_s=ps.PhaseSpaceMatrix(o @ model.kappa_s.maj @ o.T, Basis.MAJORANA),
+                baths=tuple(
+                    thermal.BathSpec(b.beta, b.kappa, CouplingMatrix(o @ b.theta.maj, Basis.MAJORANA))
+                    for b in model.baths
+                ),
+            )
+        thermal.validate(model)
+        assert dynamics.kalman_rank(model) == (6, True)
+        blocks = deviations._factors(model)
+        assert [b.weight for b in blocks] == [0, 1, 2] and blocks[1].w == 0.0
+        assert [b.a.shape[0] for b in blocks] == [2, 2, 2] and blocks[1].baths.tolist() == [1]
+        # Z_0 does not depend on alpha
+        assert np.array_equal(blocks[1].z(np.array([2.0, -1.0, 0.5])), blocks[1].z(np.zeros(3)))
+        for a in np.linspace(-2.0, 2.0, 9):
+            got = deviations.e_derivatives(model, a)
+            assert np.max(np.abs(np.subtract(got, _all_blocks_derivatives(model, a)))) <= 1e-10
+            assert np.max(np.abs(np.subtract(got, _fock_derivatives(model, a)))) <= 1e-10
+            lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, _along_bath0(model, a)))
+            assert abs(deviations.e_alpha(model, _along_bath0(model, a)) - lam.real) <= 1e-10
