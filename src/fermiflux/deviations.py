@@ -42,7 +42,6 @@ at alpha - c, c the centre of the range of the alpha_i that reach it:
 Z_w(alpha - c) = S Z_w(alpha) S^{-1} with S = diag(e^{-cw/2}, e^{cw/2}), so
 the spectrum is the same and B+ and B- are balanced.  For the chain, kappa_S
 is the particle number and the blocks are its particle and hole sectors.
-``z_matrix`` assembles the whole Z from the blocks.
 
 The blocks come in mirror pairs w <-> -w.  In the Majorana basis kappa_S,
 T_S and every kappa_i are purely imaginary and Theta_i Theta_i^* is real, so
@@ -50,12 +49,13 @@ U_{-w} = conj(U_w) up to a basis of the eigenspace, D_{i,-w} = conj(D_iw)
 and n_i(-w) = 1 - n_i(w); hence Z_{-w}(alpha) = P conj(Z_w(alpha)) P, with P
 the swap of the two halves, at every alpha.  The mirror has the conjugate
 spectrum, the same trace, the same baths and so the same shift: it adds to
-e, e' and e'' exactly what its partner adds.  ``e_alpha`` and
-``e_derivatives`` therefore solve only the blocks with w >= 0 and count a
-w > 0 block twice.  A w = 0 block (its own mirror) counts once, and it does
-not depend on alpha: every e^{+-alpha_i w} is 1 at w = 0.  ``_build_factors``
-refuses a model whose blocks do not pair up this way; ``riccati_max`` and
-``z_matrix``, which need X or Z on every block, still solve them all.
+e, e' and e'' exactly what its partner adds.  All three solvers therefore
+solve only the blocks with w >= 0 and count a w > 0 block twice.  A w = 0
+block (its own mirror) counts once, and it does not depend on alpha: every
+e^{+-alpha_i w} is 1 at w = 0.  ``riccati_max`` takes the covariance's -w
+block from the Majorana identity conj(M) = 1 - M, which needs no Riccati
+solution at -w.  ``_build_factors`` refuses a model whose blocks do not pair
+up this way.
 
 Bath 0's energy alone has the rate function I(zeta) = sup_a (a zeta - e(a e_0)),
 for any number of baths (list bath k first for bath k's).  Sign conventions
@@ -72,7 +72,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.special import expit
 
 from . import phasespace as ps
@@ -192,9 +191,12 @@ def _factors(model: ThermalQuasiFreeModel) -> tuple:
     return f
 
 
-def _ergodic_factors(model: ThermalQuasiFreeModel) -> tuple:
-    """The blocks of ``model``, refused if a kappa_S eigenspace is reached by no bath."""
-    blocks = _factors(model)
+def _ergodic_factors(model: ThermalQuasiFreeModel) -> list:
+    """The blocks of ``model`` with w >= 0, refused if a kappa_S eigenspace is reached by no bath.
+
+    A -w block has the baths of its w partner (``_build_factors``), so the w >= 0 blocks decide.
+    """
+    blocks = [b for b in _factors(model) if b.weight]
     if any(not b.baths.size for b in blocks):
         raise NotErgodicError("a kappa_S eigenspace is reached by no bath: the model is not ergodic")
     return blocks
@@ -207,18 +209,6 @@ def _check_alpha(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
     return alpha
 
 
-def z_matrix(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
-    """The 4L x 4L Majorana Z(alpha), assembled from the eigenspace blocks."""
-    alpha = _check_alpha(model, alpha)
-    n = 2 * model.n_modes
-    z = np.zeros((2 * n, 2 * n), dtype=complex)
-    for b in _factors(model):
-        e = sla.block_diag(b.u, b.u)
-        z += e @ b.z(alpha) @ e.conj().T
-    z[n:, n:] = -z[:n, :n].conj().T
-    return z
-
-
 def e_alpha(model: ThermalQuasiFreeModel, alpha) -> float:
     """Cumulant generating function (1/4) sum_w sum |Re lambda(Z_w)| - (1/4) sum_w trace_w.
 
@@ -227,17 +217,16 @@ def e_alpha(model: ThermalQuasiFreeModel, alpha) -> float:
     no bath reaches is refused here, with NotErgodicError.
     """
     alpha = _check_alpha(model, alpha)
-    blocks = [b for b in _ergodic_factors(model) if b.weight]
+    blocks = _ergodic_factors(model)
     abs_re = sum(b.weight * np.abs(np.linalg.eigvals(b.z(alpha - b.shift(alpha))).real).sum() for b in blocks)
     return float(0.25 * abs_re - 0.25 * sum(b.weight * b.trace for b in blocks))
 
 
 @dataclass(frozen=True, eq=False)
 class DeformedSpectrum:
-    """Dominant eigenvalue e(alpha) of the deformed problem and its Riccati solution."""
+    """Dominant eigenvalue e(alpha) of the deformed problem and its eigenvector's covariance."""
 
     e_value: float
-    x_max: np.ndarray
     covariance: PhaseSpaceMatrix
 
 
@@ -258,20 +247,26 @@ def _block_eig(b: _Block, alpha: np.ndarray) -> tuple:
 
 
 def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
-    """Maximal solution of X A + A* X + X B(alpha) X - B(-alpha,-beta) = 0.
+    """e(alpha) and the covariance of the deformed semigroup's dominant eigenvector, by the maximal Riccati solution.
 
-    Solved block by block from the eigenvectors [V1; V2] of the right-half-plane
-    eigenvalues of Z_w(alpha - c): X_w = e^{-cw} V2 V1^{-1}, X = sum_w U_w X_w U_w^*.
-    The smallest |Re lambda|, the worst cond(V1) and the gap between the trace
-    formula and the half-spectrum sum are logged at DEBUG.  The deformed
-    semigroup's dominant eigenvector is the Gaussian state of covariance
-    (1 + X)^{-1} = sum_w U_w (1 + X_w)^{-1} U_w^*, taken from the eigenvalues x
-    of each Hermitian X_w so that blocks of different scale e^{-cw} never mix;
-    NumericDegeneracyError if some x <= -1.  NotErgodicError if no bath reaches a block.
+    X solves X A + A* X + X B(alpha) X - B(-alpha,-beta) = 0.  On each block
+    with w >= 0, X_w = e^{-cw} V2 V1^{-1} from the eigenvectors [V1; V2] of
+    the right-half-plane eigenvalues of Z_w(alpha - c).  The dominant
+    eigenvector is the Gaussian state of covariance M = (1 + X)^{-1}.  Its
+    block C_w = U_w (1 + X_w)^{-1} U_w^* is taken from the eigenvalues x of
+    each Hermitian X_w, so that blocks of different scale e^{-cw} never mix;
+    NumericDegeneracyError if some x <= -1.  The -w block follows from
+    conj(M) = 1 - M: it is conj(U_w U_w^* - C_w) = conj(U_w X_w (1 + X_w)^{-1} U_w^*),
+    so no X is formed at -w.  The trace formula sum_w tr(A_w + X_w B+_w) is
+    checked against the half-spectrum sum, both weighted as in ``e_alpha``:
+    by the Riccati identity 2 Re tr A_w + tr(X_w B+_w) = tr(X_w^{-1} B-_w),
+    the mirror adds the same real trace as its partner.  That gap, the
+    smallest |Re lambda| and the worst cond(V1) are logged at DEBUG.
+    NotErgodicError if no bath reaches a block.
     """
     alpha = _check_alpha(model, alpha)
     blocks = _ergodic_factors(model)
-    x, cov = np.zeros((2, 2 * model.n_modes, 2 * model.n_modes), dtype=complex)
+    cov = np.zeros((2 * model.n_modes, 2 * model.n_modes), dtype=complex)
     abs_re, trace, margin, worst = 0.0, 0.0, np.inf, 0.0
     for b in blocks:
         c, z, lam, v, plus = _block_eig(b, alpha)
@@ -280,30 +275,23 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
         if not np.isfinite(cond) or cond > 1e12:
             raise NumericDegeneracyError(f"invariant-subspace stacking is singular (cond {cond:.3e})")
         xw = v[m:, plus] @ np.linalg.inv(v[:m, plus])
-        abs_re += np.abs(lam.real).sum()
+        abs_re += b.weight * np.abs(lam.real).sum()
         margin, worst = min(margin, np.abs(lam.real).min()), max(worst, cond)
-        trace += np.trace(z[:m, :m] + xw @ z[:m, m:]).real
+        trace += b.weight * np.trace(z[:m, :m] + xw @ z[:m, m:]).real
         xs, q = np.linalg.eigh(np.exp(-c * b.w) * 0.5 * (xw + xw.conj().T))
         if xs.min() <= -1.0:
             raise NumericDegeneracyError(f"1 + X is not positive definite: smallest eigenvalue of X {xs.min():.3e}")
         uq = b.u @ q
-        x += (uq * xs) @ uq.conj().T
         cov += (uq / (1.0 + xs)) @ uq.conj().T
-    x, cov = (0.5 * (y + y.conj().T) for y in (x, cov))
-    e_spec = 0.25 * abs_re - 0.25 * sum(b.trace for b in blocks)
+        if b.w > 0:
+            cov += ((uq * (xs / (1.0 + xs))) @ uq.conj().T).conj()
+    cov = 0.5 * (cov + cov.conj().T)
+    e_spec = 0.25 * abs_re - 0.25 * sum(b.weight * b.trace for b in blocks)
     gap, tol = abs(0.5 * trace - 0.25 * abs_re), 1e-7 * max(1.0, abs(e_spec))
     log.debug("smallest |Re lambda| %.3e, worst cond(V1) %.3e, trace-formula gap %.3e of %.3e", margin, worst, gap, tol)
     if gap > tol:
         raise InternalConsistencyError(f"trace formula misses the half-spectrum sum {e_spec:.6e} by {gap:.3e}")
-    return DeformedSpectrum(float(e_spec), x_max=x, covariance=PhaseSpaceMatrix(cov, Basis.MAJORANA))
-
-
-def riccati_residual(model: ThermalQuasiFreeModel, alpha, x: np.ndarray) -> float:
-    z = z_matrix(model, alpha)
-    n = z.shape[0] // 2
-    a, b_plus, b_minus = z[:n, :n], z[:n, n:], z[n:, :n]
-    r = x @ a + a.conj().T @ x + x @ b_plus @ x - b_minus
-    return float(np.linalg.norm(r, 2))
+    return DeformedSpectrum(float(e_spec), covariance=PhaseSpaceMatrix(cov, Basis.MAJORANA))
 
 
 def e_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float, float]:
@@ -328,7 +316,7 @@ def e_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float,
     NumericDegeneracyError when cond(X) (Frobenius norm) passes 1e12.
     """
     alpha = _check_alpha(model, [a] + [0.0] * (model.n_baths - 1))
-    blocks = [b for b in _ergodic_factors(model) if b.weight]
+    blocks = _ergodic_factors(model)
     abs_re, d1, d2 = 0.0, 0.0, 0.0
     for b in blocks:
         c, _, lam, x, plus = _block_eig(b, alpha)

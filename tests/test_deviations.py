@@ -41,23 +41,61 @@ def _blocks_by_definition(model, alpha):
     return a, b_plus, b_minus
 
 
-def _schur_riccati_x(model, alpha):
-    """Reference maximal Riccati X from the ordered Schur form of each block.
-
-    The right-half-plane Schur vectors [Q1; Q2] of Z_w(alpha - c) give
-    X_w = Q2 Q1^{-1}, and X = sum_w e^{-cw} U_w X_w U_w^*.
-    """
+def _z_matrix(model, alpha):
+    """The 4L x 4L Majorana Z(alpha), assembled from the kappa_S blocks."""
     alpha = np.asarray(alpha, dtype=float)
     n = 2 * model.n_modes
-    x = np.zeros((n, n), dtype=complex)
+    z = np.zeros((2 * n, 2 * n), dtype=complex)
     for b in deviations._factors(model):
-        c = b.shift(alpha)
-        m = b.a.shape[0]
-        t, q, k = sla.schur(b.z(alpha - c), output="complex", sort="rhp")
-        assert k == m and np.abs(np.diag(t).real).min() >= deviations.SPLIT_TOL
-        assert np.linalg.cond(q[:m, :m]) <= 1e12
-        x += np.exp(-c * b.w) * (b.u @ q[m:, :m] @ np.linalg.inv(q[:m, :m]) @ b.u.conj().T)
+        e = sla.block_diag(b.u, b.u)
+        z += e @ b.z(alpha) @ e.conj().T
+    z[n:, n:] = -z[:n, :n].conj().T
+    return z
+
+
+def _eig_block_x(b, alpha):
+    """X_w = e^{-cw} V2 V1^{-1} from the right-half-plane eigenvectors [V1; V2] of ``deviations._block_eig``."""
+    c, _, _, v, plus = deviations._block_eig(b, alpha)
+    m = b.a.shape[0]
+    return np.exp(-c * b.w) * (v[m:, plus] @ np.linalg.inv(v[:m, plus]))
+
+
+def _schur_block_x(b, alpha):
+    """Reference X_w from the ordered Schur form: e^{-cw} Q2 Q1^{-1} on the right-half-plane Schur vectors [Q1; Q2] of Z_w(alpha - c)."""
+    c = b.shift(alpha)
+    m = b.a.shape[0]
+    t, q, k = sla.schur(b.z(alpha - c), output="complex", sort="rhp")
+    assert k == m and np.abs(np.diag(t).real).min() >= deviations.SPLIT_TOL
+    assert np.linalg.cond(q[:m, :m]) <= 1e12
+    return np.exp(-c * b.w) * (q[m:, :m] @ np.linalg.inv(q[:m, :m]))
+
+
+def _x_max(model, alpha, block_x=_eig_block_x):
+    """The maximal Riccati X = sum_w U_w X_w U_w^* over every kappa_S block, w < 0 included."""
+    x = sum(b.u @ block_x(b, alpha) @ b.u.conj().T for b in deviations._factors(model))
     return 0.5 * (x + x.conj().T)
+
+
+def _block_residual(b, alpha, xw):
+    """(||R||_2, ||X||_2) for X = e^{cw} X_w in the Riccati equation of Z_w(alpha - c), at the block's own shift c.
+
+    R = X A_w + A_w^* X + X B+ X - B-, with B+- the off-diagonal blocks of Z_w(alpha - c).
+    """
+    c, m = b.shift(alpha), b.a.shape[0]
+    z, x = b.z(alpha - c), np.exp(c * b.w) * xw
+    r = x @ z[:m, :m] + z[:m, :m].conj().T @ x + x @ z[:m, m:] @ x - z[m:, :m]
+    return np.linalg.norm(r, 2), np.linalg.norm(x, 2)
+
+
+def _all_blocks_covariance(model, alpha):
+    """(1 + X)^{-1} summed over every kappa_S block, the w < 0 ones solved as well."""
+    cov = 0.0
+    for b in deviations._factors(model):
+        xw = _eig_block_x(b, alpha)
+        xs, q = np.linalg.eigh(0.5 * (xw + xw.conj().T))
+        uq = b.u @ q
+        cov = cov + (uq / (1.0 + xs)) @ uq.conj().T
+    return 0.5 * (cov + cov.conj().T)
 
 
 def _one_bath_blocks(seed):
@@ -99,7 +137,7 @@ class TestBlocks:
         models = [chain2] + make_models(8, 4)
         for model in models:
             for alpha in (np.zeros(model.n_baths), r.uniform(-0.6, 0.6, model.n_baths)):
-                z = deviations.z_matrix(model, alpha)
+                z = _z_matrix(model, alpha)
                 n = 2 * model.n_modes
                 assert z.shape == (2 * n, 2 * n)
                 a, b_plus, b_minus = _blocks_by_definition(model, alpha)
@@ -112,7 +150,7 @@ class TestBlocks:
         # equal temperatures and alpha = lambda * (1, 1): both B blocks are
         # functions of kappa_S times Theta Theta^*, commuting with kappa_S
         model = chain.build(chain.ChainSpec(length=2, beta0=0.6, betaL=0.6))
-        z = deviations.z_matrix(model, [0.4, 0.4])
+        z = _z_matrix(model, [0.4, 0.4])
         n = 2 * model.n_modes
         ks = model.kappa_s.maj
         for mat in (z[:n, n:], z[n:, :n]):
@@ -124,7 +162,7 @@ class TestZMatrix:
         r = np.random.default_rng(2)
         for _ in range(5):
             a = r.uniform(-0.8, 0.8, 2)
-            z = deviations.z_matrix(chain2, a)
+            z = _z_matrix(chain2, a)
             lam = np.linalg.eigvals(z)
             mirrored = -np.conj(lam)
             # multiset equality under lambda -> -conj(lambda)
@@ -135,7 +173,7 @@ class TestZMatrix:
         closed = thermal.ThermalQuasiFreeModel(
             t_s=chain2.t_s, kappa_s=chain2.kappa_s, baths=()
         )
-        z = deviations.z_matrix(closed, np.zeros(0))
+        z = _z_matrix(closed, np.zeros(0))
         n = 2 * closed.n_modes
         assert np.max(np.abs(z[:n, n:])) < 1e-14
         assert np.max(np.abs(z[n:, :n])) < 1e-14
@@ -145,7 +183,7 @@ class TestZMatrix:
         assert np.max(np.abs(lam - expected)) < 1e-10
 
     def test_chain_gap_from_axis(self, chain2):
-        z = deviations.z_matrix(chain2, [0.3, 0.0])
+        z = _z_matrix(chain2, [0.3, 0.0])
         lam = np.linalg.eigvals(z)
         assert np.min(np.abs(lam.real)) > 1e-8
 
@@ -249,7 +287,7 @@ class TestEAlpha:
             pytest.param(lambda m: deviations.e_alpha(m, [np.nan, 0.0]), id="e_alpha-nan"),
             pytest.param(lambda m: deviations.e_alpha(m, [np.inf, 0.0]), id="e_alpha-inf"),
             pytest.param(lambda m: deviations.riccati_max(m, [np.nan, 0.0]), id="riccati_max-nan"),
-            pytest.param(lambda m: deviations.z_matrix(m, [0.0, -np.inf]), id="z_matrix-inf"),
+            pytest.param(lambda m: deviations.riccati_max(m, [0.0, -np.inf]), id="riccati_max-inf"),
             pytest.param(lambda m: deviations.e_derivatives(m, np.nan), id="e_derivatives-nan"),
             pytest.param(lambda m: deviations.e_derivatives(m, -np.inf), id="e_derivatives-inf"),
             pytest.param(lambda m: deviations.rate_function(m, [np.nan]), id="rate-zeta-nan"),
@@ -274,9 +312,8 @@ class TestRiccati:
 
     def test_solution_properties(self, chain2):
         a = np.array([0.3, 0.0])
-        spec = deviations.riccati_max(chain2, a)
-        x = spec.x_max
-        assert deviations.riccati_residual(chain2, a, x) < 1e-8
+        x = _x_max(chain2, a)
+        assert max(_block_residual(b, a, _eig_block_x(b, a))[0] for b in deviations._factors(chain2)) < 1e-8
         assert np.linalg.eigvalsh(x).min() > 0
         # X^T = X^{-1} (xi-transpose = plain transposition here): exactly the
         # condition making (1 + X)^{-1} a covariance matrix
@@ -312,15 +349,15 @@ class TestRiccati:
         for name, model in self._reference_models().items():
             for _ in range(4):
                 a = r.uniform(-1.5, 1.5, model.n_baths)
-                ref = _schur_riccati_x(model, a)
-                x = deviations.riccati_max(model, a).x_max
+                ref = _x_max(model, a, _schur_block_x)
+                x = _x_max(model, a)
                 assert np.linalg.norm(x - ref, 2) <= 1e-10 * np.linalg.norm(ref, 2), name
             for _ in range(4):
                 a = r.uniform(-10.0, 10.0, model.n_baths)
-                ref = _schur_riccati_x(model, a)
-                x = deviations.riccati_max(model, a).x_max
+                blocks = deviations._factors(model)
                 relative = [
-                    deviations.riccati_residual(model, a, y) / max(1.0, np.linalg.norm(y, 2)) ** 2 for y in (x, ref)
+                    max(res / max(1.0, nx) ** 2 for res, nx in (_block_residual(b, a, f(b, a)) for b in blocks))
+                    for f in (_eig_block_x, _schur_block_x)
                 ]
                 assert relative[0] <= 10.0 * relative[1], (name, a, relative)
 
@@ -343,6 +380,31 @@ class TestRiccati:
         margin, cond, gap, limit = (float(words[k].rstrip(",")) for k in (3, 6, 9, 11))
         assert margin >= deviations.SPLIT_TOL and 1.0 <= cond <= 1e12
         assert gap <= limit and limit == pytest.approx(1e-7 * max(1.0, abs(spec.e_value)), rel=1e-3)
+
+    def test_block_residuals_at_large_alpha(self):
+        # the whole-space residual of the same X is about 0.1 relative: rounding
+        # of the blocks at different scales e^{-cw}, not a lost solution
+        model = self._reference_models()["spectral"]
+        a = np.array([5.18, -1.39, 9.07])
+        for b in deviations._factors(model):
+            res, nx = _block_residual(b, a, _eig_block_x(b, a))
+            assert res <= 1e-14 * max(1.0, nx) ** 2, b.w
+
+    @pytest.mark.parametrize("n,beta", [(2, 20.0), (2, 30.0), (2, 40.0), (4, 40.0), (2, -40.0), (4, -40.0)])
+    def test_extreme_baths_match_fock(self, n, beta):
+        # cold: X_w is about 0, so X_{-w} = conj(X_w)^{-1} is lost to rounding and the -w covariance needs the mirror;
+        # hot: X_w itself is about e^{40}, and the solve may refuse with a numeric error, never a bare numpy one
+        model = chain.build(chain.ChainSpec(length=n, beta0=beta, betaL=beta))
+        for a in ([0.0, 0.0], [0.3, 0.0], [-0.4, 0.2]):
+            try:
+                spec = deviations.riccati_max(model, a)
+            except deviations.NUMERIC_ERRORS:
+                if beta > 0:
+                    raise
+                continue
+            lam, rho_a, _ = fock.dominant_eigenvalue(fock.build_deformed(model, a))
+            assert abs(spec.e_value - lam.real) <= 1e-8
+            assert np.max(np.abs(fock.covariance_of(rho_a).maj - spec.covariance.maj)) <= 1e-7
 
 
 class TestTwoBathReduction:
@@ -966,14 +1028,25 @@ class TestMirrorBlocks:
             got, ref = deviations.e_derivatives(model, a), _all_blocks_derivatives(model, a)
             assert np.all(np.abs(np.subtract(got, ref)) <= 1e-13 * np.maximum(1.0, np.abs(ref))), (case, a, got, ref)
 
+    @pytest.mark.parametrize("case", [f"chain-{n}" for n in (2, 5, 10)] + MANY_BATHS)
+    def test_riccati_matches_all_block_solve(self, case):
+        # the covariance's -w blocks come from conj(M) = 1 - M instead of a Riccati solve at -w
+        model = _mirror_model(case)
+        r = np.random.default_rng(71)
+        for _ in range(4):
+            alpha = r.uniform(-1.5, 1.5, model.n_baths)
+            spec, ref = deviations.riccati_max(model, alpha), _all_blocks_e(model, alpha)
+            assert abs(spec.e_value - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert np.max(np.abs(spec.covariance.maj - _all_blocks_covariance(model, alpha))) <= 1e-12
+
     def test_half_the_blocks_solved(self, monkeypatch):
         solved = []
         block_eig, eigvals = deviations._block_eig, np.linalg.eigvals
         monkeypatch.setattr(deviations, "_block_eig", lambda b, alpha: solved.append(b.w) or block_eig(b, alpha))
         monkeypatch.setattr(np.linalg, "eigvals", lambda z: solved.append(None) or eigvals(z))
-        cases = [(chain.build(chain.ChainSpec(length=n)), 1, 2) for n in range(2, 11)]
-        cases += [(_many_bath_draws()[f"spectral-L3-{nb}baths"], 3, 6) for nb in (3, 4)]
-        for model, half, every in cases:
+        cases = [(chain.build(chain.ChainSpec(length=n)), 1) for n in range(2, 11)]
+        cases += [(_many_bath_draws()[f"spectral-L3-{nb}baths"], 3) for nb in (3, 4)]
+        for model, half in cases:
             solved.clear()
             deviations.e_derivatives(model, 0.7)
             assert len(solved) == half and min(solved) > 0
@@ -982,7 +1055,7 @@ class TestMirrorBlocks:
             assert solved == [None] * half
             solved.clear()
             deviations.riccati_max(model, _along_bath0(model, 0.7))
-            assert len(solved) == every
+            assert len(solved) == half and min(solved) > 0
 
     @pytest.mark.parametrize(
         "case,drop",
@@ -1029,5 +1102,7 @@ class TestMirrorBlocks:
             got = deviations.e_derivatives(model, a)
             assert np.max(np.abs(np.subtract(got, _all_blocks_derivatives(model, a)))) <= 1e-10
             assert np.max(np.abs(np.subtract(got, _fock_derivatives(model, a)))) <= 1e-10
-            lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, _along_bath0(model, a)))
+            lam, rho_a, _ = fock.dominant_eigenvalue(fock.build_deformed(model, _along_bath0(model, a)))
             assert abs(deviations.e_alpha(model, _along_bath0(model, a)) - lam.real) <= 1e-10
+            cov = deviations.riccati_max(model, _along_bath0(model, a)).covariance.maj
+            assert np.max(np.abs(fock.covariance_of(rho_a).maj - cov)) <= 1e-10
