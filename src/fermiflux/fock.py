@@ -14,11 +14,14 @@ temperature beta has covariance (1 + exp(-beta kappa))^{-1}.
 
 Superoperators act on row-major vectorized operators and are returned in the
 Schroedinger picture (trace preserving for a Lindbladian: the vectorized
-identity is a left null vector).
+identity is a left null vector).  The generators are built on the full
+2^L-dimensional space; their dominant eigenpair is solved on the d^2/2
+operators of even parity, the sector that holds every physical state.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +34,8 @@ from .phasespace import Basis, PhaseSpaceMatrix, gibbs_covariance
 from .thermal import ThermalQuasiFreeModel
 
 L_MAX = 6
+
+log = logging.getLogger(__name__)
 
 # the three pairings of four indices and their permutation signatures
 _PAIRINGS4 = (((0, 1), (2, 3), 1.0), ((0, 2), (1, 3), -1.0), ((0, 3), (1, 2), 1.0))
@@ -55,6 +60,21 @@ def _jw_ops(n_modes: int):
             full = np.kron(full, f)
         ops.append(full.astype(complex))
     return tuple(ops)
+
+
+@lru_cache(maxsize=None)
+def _parity_sectors(n_modes: int):
+    """Row-major vec positions (a, b) of the even and of the odd operators, d^2/2 each.
+
+    (a, b) is even when its Jordan-Wigner basis states have equal parity; the
+    even operators are those that commute with the parity P.
+    """
+    parity = np.array([bin(a).count("1") & 1 for a in range(2**n_modes)])
+    same = (parity[:, None] == parity[None, :]).reshape(-1)
+    sectors = np.flatnonzero(same), np.flatnonzero(~same)
+    for s in sectors:
+        s.flags.writeable = False
+    return sectors
 
 
 def annihilation_operators(n_modes: int):
@@ -225,8 +245,29 @@ def build_deformed(model: ThermalQuasiFreeModel, alpha) -> np.ndarray:
 
 
 def dominant_eigenvalue(gen: np.ndarray):
-    """Largest-real-part eigenvalue, its trace-normalized eigenvector and the gap."""
-    lam, v, gap = so.dominant_eigenpair(gen)
+    """Largest-real-part eigenvalue, its trace-normalized eigenvector and the gap, on the even sector.
+
+    H is quadratic and every jump operator is linear in the fermions, so the
+    generator maps operators of even parity to even ones and odd to odd; the
+    Perron eigenvector of the positive semigroup is even.  Only the d^2/2
+    even block is solved, and its eigenvector is embedded back into a
+    d x d density.  ``gap`` is the real-part distance to the next eigenvalue
+    of the even sector, the one that governs physical states; the odd sector
+    is not solved.  A generator that couples the two sectors is refused.
+    """
+    gen = np.asarray(gen)
+    d2 = gen.shape[0] if gen.ndim == 2 else 0
+    n_modes = (d2.bit_length() - 1) // 2
+    if gen.shape != (d2, d2) or 4**n_modes != d2:
+        raise MalformedInputError(f"a generator on L modes is 4^L x 4^L, got shape {gen.shape}")
+    _check_cap(n_modes)
+    even, odd = _parity_sectors(n_modes)
+    if gen[np.ix_(even, odd)].any() or gen[np.ix_(odd, even)].any():
+        raise MalformedInputError("generator couples the even and odd parity sectors")
+    lam, v_even, gap = so.dominant_eigenpair(gen[np.ix_(even, even)])
+    log.debug("even sector dim %d, leading eigenvalue %.17g%+.17gj, gap %.6e", even.size, lam.real, lam.imag, gap)
+    v = np.zeros(d2, dtype=v_even.dtype)
+    v[even] = v_even
     return lam, so.density_of(v), gap
 
 

@@ -180,7 +180,7 @@ def test_criterion_5_length_ordering_as_published():
     and the curves rise and converge rapidly in L.  The published clause is
     not asserted because the model's numbers are confirmed independently:
 
-    - the brute-force Fock oracle reproduces the spectral I_L at L=2..4 (to
+    - the brute-force Fock oracle reproduces the spectral I_L at L=2..5 (to
       about 1e-15), and its Legendre objective is lower at alpha* +- 1e-3;
     - the chain's drift and noise match the published closed forms
       (criteria 1-2), and its counting statistics match the jump Monte Carlo
@@ -201,7 +201,7 @@ def test_criterion_5_length_ordering_as_published():
 
     # the spectral curve against the Fock oracle at its own maximizer
     worst_oracle = 0.0
-    for length in (2, 3, 4):
+    for length in (2, 3, 4, 5):
         model = chain.build(chain.ChainSpec(length=length, beta0=1.0, betaL=0.0))
         for probe in probes:
             pt = points[probe][length - 2]
@@ -211,7 +211,7 @@ def test_criterion_5_length_ordering_as_published():
                 assert _fock_legendre(model, probe, pt.alpha_star + da) < at_star, (
                     f"L={length}, zeta={probe}: alpha*={pt.alpha_star:.6f} is not the oracle's maximizer"
                 )
-    assert worst_oracle < 1e-10, f"spectral rate vs Fock oracle {worst_oracle:.3e} at L=2..4"
+    assert worst_oracle < 1e-10, f"spectral rate vs Fock oracle {worst_oracle:.3e} at L=2..5"
 
     rates = {p: np.array([pt.rate for pt in pts]) for p, pts in points.items()}
     table = "; ".join(
@@ -228,7 +228,7 @@ def test_criterion_5_length_ordering_as_published():
     gaps = ", ".join(f"{np.min(r[1:] - r[0]):.1e}" for r in rates.values())
     _report(
         "5-ordering",
-        f"I_L matches the Fock oracle to {worst_oracle:.1e} at L=2..4; I_2 lowest by {gaps} at "
+        f"I_L matches the Fock oracle to {worst_oracle:.1e} at L=2..5; I_2 lowest by {gaps} at "
         f"zeta={probes}, so the shortest chain fluctuates most (the published ordering is "
         f"reversed); I_L converges in L ({elapsed:.1f}s)",
     )

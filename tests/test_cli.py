@@ -337,6 +337,17 @@ class TestOracle:
         failed = [(name, r, tol) for name, r, tol in cli._oracle_checks(model, 4, 0) if not r <= tol]
         assert failed == []
 
+    @pytest.mark.parametrize("kind", ["chain", "spectral"])
+    def test_five_modes_pass(self, kind):
+        # a spectral L = 5 model needs 5 single-mode baths to be ergodic; seed 1 as in the CI pairing model.
+        # Seeds 0, 3 and 4 stop at detailed_balance_residual's faithful-state refusal (ROADMAP Small fixes)
+        if kind == "chain":
+            model = chain.build(chain.ChainSpec(length=5))
+        else:
+            model = random_thermal_model(np.random.default_rng(1), n_modes=5, n_baths=5, kind="spectral")
+        failed = [(name, r, tol) for name, r, tol in cli._oracle_checks(model, 4, 0) if not r <= tol]
+        assert failed == []
+
     def test_corrupted_model_fails(self, tmp_path):
         # double the bath energy scale without touching the coupling: the
         # intertwining constraint breaks, and with it detailed balance

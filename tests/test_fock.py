@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -294,6 +296,96 @@ class TestDeformed:
             lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, alpha))
             e = deviations.e_alpha(model, alpha)
             assert abs(lam.real - e) < 1e-10 * max(1.0, abs(e))
+
+
+def _full_space_dominant(gen):
+    """The reference: dense eig of the whole d^2 x d^2 generator, both parity sectors at once."""
+    w, v = np.linalg.eig(gen)
+    lead = np.argmax(w.real)
+    return w[lead], so.density_of(v[:, lead])
+
+
+def _sector_models():
+    models = {
+        f"chain{n}-{b0:g},{bl:g}": chain.build(chain.ChainSpec(length=n, beta0=b0, betaL=bl))
+        for n in range(1, 5)
+        for b0, bl in ((1.0, 0.0), (40.0, 40.0), (-30.0, 30.0))
+    }
+    for kind, seed in (("uniform", 4), ("spectral", 3), ("tr_broken", 5)):
+        for n in (2, 3, 4):
+            models[f"{kind}{n}"] = make_models(seed + 10 * n, 1, n_modes=n, n_baths=max(n, 3), kind=kind)[0]
+    return models
+
+
+SECTOR_MODELS = _sector_models()
+
+
+def _sector_alphas(model):
+    """alpha = 0, a draw with |alpha_i| <= 0.5 and the fluctuation-theorem partner -beta."""
+    rng = np.random.default_rng(model.n_modes)
+    return [np.zeros(model.n_baths), rng.uniform(-0.5, 0.5, model.n_baths), -np.asarray(model.betas)]
+
+
+class TestEvenSector:
+    @pytest.mark.parametrize("name", SECTOR_MODELS)
+    def test_matches_full_space_solve(self, name):
+        model = SECTOR_MODELS[name]
+        w_max = np.abs(np.linalg.eigvalsh(model.kappa_s.maj)).max()
+        for alpha in _sector_alphas(model):
+            if np.abs(alpha).max() * w_max > 30.0:
+                continue  # past the Fock oracle's alpha range (ROADMAP standing note): the two solves differ by ~1e-8
+            gen = fock.build_deformed(model, alpha)
+            lam, rho, _ = fock.dominant_eigenvalue(gen)
+            lam_full, rho_full = _full_space_dominant(gen)
+            assert abs(lam - lam_full) <= 1e-12, alpha
+            assert np.max(np.abs(rho - rho_full)) <= 1e-12, alpha
+
+    @pytest.mark.parametrize("name", SECTOR_MODELS)
+    def test_off_sector_blocks_exactly_zero(self, name):
+        model = SECTOR_MODELS[name]
+        even, odd = fock._parity_sectors(model.n_modes)
+        gens = [fock.build_lindbladian(model)] + [fock.build_deformed(model, a) for a in _sector_alphas(model)]
+        for gen in gens:
+            assert not gen[np.ix_(even, odd)].any()
+            assert not gen[np.ix_(odd, even)].any()
+
+    @pytest.mark.parametrize("name", SECTOR_MODELS)
+    def test_odd_sector_lies_below(self, name):
+        model = SECTOR_MODELS[name]
+        _, odd = fock._parity_sectors(model.n_modes)
+        for alpha in _sector_alphas(model):
+            gen = fock.build_deformed(model, alpha)
+            lam, _, _ = fock.dominant_eigenvalue(gen)
+            assert np.linalg.eigvals(gen[np.ix_(odd, odd)]).real.max() < lam.real, alpha
+
+    def test_sectors_split_by_parity(self):
+        even, odd = fock._parity_sectors(2)
+        # basis states 0, 3 are even and 1, 2 odd; vec position a * 4 + b
+        assert even.tolist() == [0, 3, 5, 6, 9, 10, 12, 15]
+        assert sorted(even.tolist() + odd.tolist()) == list(range(16))
+
+    @pytest.mark.parametrize("block", ["even-odd", "odd-even"])
+    def test_coupled_sectors_refused(self, chain2, block):
+        gen = fock.build_lindbladian(chain2)
+        even, odd = fock._parity_sectors(chain2.n_modes)
+        row, col = (even[3], odd[5]) if block == "even-odd" else (odd[5], even[3])
+        gen[row, col] = 1e-300
+        with pytest.raises(MalformedInputError, match="parity sectors"):
+            fock.dominant_eigenvalue(gen)
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 8), (16, 8), (0, 0)])
+    def test_non_superoperator_shape_refused(self, shape):
+        with pytest.raises(MalformedInputError, match="4\\^L x 4\\^L"):
+            fock.dominant_eigenvalue(np.zeros(shape))
+
+    def test_solve_logged(self, chain2, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fermiflux.fock"):
+            lam, _, gap = fock.dominant_eigenvalue(fock.build_deformed(chain2, [0.3, 0.0]))
+        words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.fock"][-1].split()
+        assert words[:3] == ["even", "sector", "dim"] and words[4:6] == ["leading", "eigenvalue"] and words[7] == "gap"
+        assert int(words[3].rstrip(",")) == 4**chain2.n_modes // 2
+        assert complex(words[6].rstrip(",")) == lam
+        assert float(words[8]) == pytest.approx(gap, rel=1e-6)
 
 
 class TestDiscreteStep:
