@@ -357,11 +357,11 @@ def cmd_mc(args) -> int:
 def cmd_machine(args) -> int:
     _check_count("--sweep", args.sweep)
     _check_seed(args.seed, 1)
+    if bool(args.synthesize) != (args.beta is not None):
+        raise UsageError("--synthesize and --beta go together")
     out = io.StringIO()
     out.write(_header(None, seed=args.seed))
     if args.synthesize:
-        if args.beta is None:
-            raise UsageError("--synthesize needs --beta")
         target = _parse_alpha(args.synthesize)
         betas = _parse_alpha(args.beta)
         if target.size != betas.size:

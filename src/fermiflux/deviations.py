@@ -89,6 +89,8 @@ SPLIT_TOL = 1e-8
 ALPHA_MAX = 50.0
 # largest Newton step or bracket width at which a rate-function point stops, stamped in the rate CSV
 XTOL = 1e-10
+# largest ``phasespace.covariance_residuals`` entry of a covariance that riccati_max returns
+COVARIANCE_TOL = 1e-7
 # failures of the spectral evaluation itself, reported as non-convergence
 NUMERIC_ERRORS = (DegenerateSpectrumError, NumericDegeneracyError, InternalConsistencyError)
 
@@ -249,49 +251,43 @@ def _block_eig(b: _Block, alpha: np.ndarray) -> tuple:
 def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
     """e(alpha) and the covariance of the deformed semigroup's dominant eigenvector, by the maximal Riccati solution.
 
-    X solves X A + A* X + X B(alpha) X - B(-alpha,-beta) = 0.  On each block
-    with w >= 0, X_w = e^{-cw} V2 V1^{-1} from the eigenvectors [V1; V2] of
-    the right-half-plane eigenvalues of Z_w(alpha - c).  The dominant
-    eigenvector is the Gaussian state of covariance M = (1 + X)^{-1}.  Its
-    block C_w = U_w (1 + X_w)^{-1} U_w^* is taken from the eigenvalues x of
-    each Hermitian X_w, so that blocks of different scale e^{-cw} never mix;
-    NumericDegeneracyError if some x <= -1.  The -w block follows from
-    conj(M) = 1 - M: it is conj(U_w U_w^* - C_w) = conj(U_w X_w (1 + X_w)^{-1} U_w^*),
-    so no X is formed at -w.  The trace formula sum_w tr(A_w + X_w B+_w) is
-    checked against the half-spectrum sum, both weighted as in ``e_alpha``:
-    by the Riccati identity 2 Re tr A_w + tr(X_w B+_w) = tr(X_w^{-1} B-_w),
-    the mirror adds the same real trace as its partner.  That gap, the
-    smallest |Re lambda| and the worst cond(V1) are logged at DEBUG.
-    NotErgodicError if no bath reaches a block.
+    X solves X A + A* X + X B(alpha) X - B(-alpha,-beta) = 0, and the
+    dominant eigenvector is the Gaussian state of covariance M = (1 + X)^{-1}.
+    On each block with w >= 0, X_w = e^{-cw} V2 V1^{-1} from the eigenvectors
+    [V1; V2] of the right-half-plane eigenvalues of Z_w(alpha - c), so the
+    block C_w = (1 + X_w)^{-1} = V1 W^{-1} with W = V1 + e^{-cw} V2: one
+    solve, with neither X_w (about e^{40} at hot baths) nor V1^{-1} formed.
+    The -w block follows from conj(M) = 1 - M: it is conj(U_w U_w^* - U_w C_w U_w^*),
+    so nothing is solved at -w.  e is the half-spectrum sum, as in ``e_alpha``.
+    NumericDegeneracyError if some cond(W) passes 1e12, or if the assembled M
+    misses ``phasespace.covariance_residuals`` by more than COVARIANCE_TOL
+    (its Hermitian part is returned).  The smallest |Re lambda|, the worst
+    cond(W) and that residual are logged at DEBUG.  NotErgodicError if no bath reaches a block.
     """
     alpha = _check_alpha(model, alpha)
     blocks = _ergodic_factors(model)
     cov = np.zeros((2 * model.n_modes, 2 * model.n_modes), dtype=complex)
-    abs_re, trace, margin, worst = 0.0, 0.0, np.inf, 0.0
+    abs_re, margin, worst = 0.0, np.inf, 0.0
     for b in blocks:
-        c, z, lam, v, plus = _block_eig(b, alpha)
+        c, _, lam, v, plus = _block_eig(b, alpha)
         m = b.a.shape[0]
-        cond = np.linalg.cond(v[:m, plus])
+        w = v[:m, plus] + np.exp(-c * b.w) * v[m:, plus]
+        cond = np.linalg.cond(w)
         if not np.isfinite(cond) or cond > 1e12:
-            raise NumericDegeneracyError(f"invariant-subspace stacking is singular (cond {cond:.3e})")
-        xw = v[m:, plus] @ np.linalg.inv(v[:m, plus])
+            raise NumericDegeneracyError(f"V1 + e^(-cw) V2 is singular (cond {cond:.3e})")
         abs_re += b.weight * np.abs(lam.real).sum()
         margin, worst = min(margin, np.abs(lam.real).min()), max(worst, cond)
-        trace += b.weight * np.trace(z[:m, :m] + xw @ z[:m, m:]).real
-        xs, q = np.linalg.eigh(np.exp(-c * b.w) * 0.5 * (xw + xw.conj().T))
-        if xs.min() <= -1.0:
-            raise NumericDegeneracyError(f"1 + X is not positive definite: smallest eigenvalue of X {xs.min():.3e}")
-        uq = b.u @ q
-        cov += (uq / (1.0 + xs)) @ uq.conj().T
+        uc = b.u @ np.linalg.solve(w.T, v[:m, plus].T).T @ b.u.conj().T
+        cov += uc
         if b.w > 0:
-            cov += ((uq * (xs / (1.0 + xs))) @ uq.conj().T).conj()
-    cov = 0.5 * (cov + cov.conj().T)
+            cov += (b.u @ b.u.conj().T - uc).conj()
+    resid = max(ps.covariance_residuals(PhaseSpaceMatrix(cov, Basis.MAJORANA)).values())
+    log.debug("smallest |Re lambda| %.3e, worst cond(W) %.3e, covariance residual %.3e of %.1e",
+              margin, worst, resid, COVARIANCE_TOL)
+    if resid > COVARIANCE_TOL:
+        raise NumericDegeneracyError(f"the covariance misses M = M^*, 0 <= M <= 1, M^T = 1 - M by {resid:.3e}")
     e_spec = 0.25 * abs_re - 0.25 * sum(b.weight * b.trace for b in blocks)
-    gap, tol = abs(0.5 * trace - 0.25 * abs_re), 1e-7 * max(1.0, abs(e_spec))
-    log.debug("smallest |Re lambda| %.3e, worst cond(V1) %.3e, trace-formula gap %.3e of %.3e", margin, worst, gap, tol)
-    if gap > tol:
-        raise InternalConsistencyError(f"trace formula misses the half-spectrum sum {e_spec:.6e} by {gap:.3e}")
-    return DeformedSpectrum(float(e_spec), covariance=PhaseSpaceMatrix(cov, Basis.MAJORANA))
+    return DeformedSpectrum(float(e_spec), covariance=PhaseSpaceMatrix(0.5 * (cov + cov.conj().T), Basis.MAJORANA))
 
 
 def e_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float, float]:

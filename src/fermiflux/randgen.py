@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dynamics, phasespace as ps
+from .errors import MalformedInputError
 from .phasespace import Basis, CouplingMatrix, PhaseSpaceMatrix
 from .thermal import BathSpec, ThermalQuasiFreeModel
 
@@ -105,7 +106,7 @@ def random_thermal_model(
         nb = n_baths if n_baths is not None else int(rng.integers(2, 5))
         family = kind or ("spectral" if (rng.random() < 0.5 and nb >= lm) else "uniform")
         if family == "spectral" and nb < lm:
-            family = "uniform"
+            raise MalformedInputError(f"a spectral model needs n_baths >= n_modes, got {nb} < {lm}")
         if family == "spectral":
             model = _spectral_model(rng, lm, nb)
         elif family == "tr_broken":

@@ -116,6 +116,7 @@ class TestFlux:
             ["machine", "--seed", "-1"],
             ["machine", "--sweep", "-1"],
             ["rate", "--chain-L", "2-3", "--tol", "nan", "--points", "2"],
+            ["machine", "--beta", "1,2"],
         ],
     )
     def test_bad_input_usage_error(self, args, capsys):

@@ -17,6 +17,7 @@ from fermiflux.errors import (
     InternalConsistencyError,
     MalformedInputError,
     NotErgodicError,
+    NumericDegeneracyError,
     ValidationError,
 )
 from fermiflux.phasespace import Basis, CouplingMatrix
@@ -373,13 +374,13 @@ class TestRiccati:
 
     def test_margins_logged(self, chain2, caplog):
         with caplog.at_level(logging.DEBUG, logger="fermiflux.deviations"):
-            spec = deviations.riccati_max(chain2, [0.3, 0.0])
+            deviations.riccati_max(chain2, [0.3, 0.0])
         words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.deviations"][-1].split()
-        assert words[:3] == ["smallest", "|Re", "lambda|"] and words[4:6] == ["worst", "cond(V1)"]
-        assert words[7:9] == ["trace-formula", "gap"]
-        margin, cond, gap, limit = (float(words[k].rstrip(",")) for k in (3, 6, 9, 11))
+        assert words[:3] == ["smallest", "|Re", "lambda|"] and words[4:6] == ["worst", "cond(W)"]
+        assert words[7:9] == ["covariance", "residual"]
+        margin, cond, resid, limit = (float(words[k].rstrip(",")) for k in (3, 6, 9, 11))
         assert margin >= deviations.SPLIT_TOL and 1.0 <= cond <= 1e12
-        assert gap <= limit and limit == pytest.approx(1e-7 * max(1.0, abs(spec.e_value)), rel=1e-3)
+        assert resid <= limit and limit == deviations.COVARIANCE_TOL
 
     def test_block_residuals_at_large_alpha(self):
         # the whole-space residual of the same X is about 0.1 relative: rounding
@@ -390,18 +391,67 @@ class TestRiccati:
             res, nx = _block_residual(b, a, _eig_block_x(b, a))
             assert res <= 1e-14 * max(1.0, nx) ** 2, b.w
 
+    @staticmethod
+    def _patched_block_eig(monkeypatch, edit):
+        """Route ``_block_eig`` through ``edit(v, plus, m)``, which alters the eigenvector matrix in place."""
+        block_eig = deviations._block_eig
+
+        def patched(b, alpha):
+            c, z, lam, v, plus = block_eig(b, alpha)
+            edit(v, plus, b.a.shape[0])
+            return c, z, lam, v, plus
+
+        monkeypatch.setattr(deviations, "_block_eig", patched)
+
+    def test_singular_stacking_refused(self, chain2, monkeypatch):
+        # two equal right-half-plane eigenvectors make V1 + e^{-cw} V2 singular
+        def edit(v, plus, m):
+            k = np.flatnonzero(plus)
+            v[:, k[1]] = v[:, k[0]]
+
+        self._patched_block_eig(monkeypatch, edit)
+        with pytest.raises(NumericDegeneracyError, match="singular"):
+            deviations.riccati_max(chain2, [0.3, 0.0])
+
+    @staticmethod
+    def _halve_and_negate_v2(v, plus, m):
+        # X -> -X / 2: C_w = (1 - X / 2)^{-1} leaves [0, 1]
+        v[m:, plus] *= -0.5
+
+    @staticmethod
+    def _tilt_v2(v, plus, m):
+        # X -> X + i e^{-cw} 1e-4: C_w loses Hermiticity while its Hermitian part stays in [0, 1]
+        v[m:, plus] += 1e-4j * v[:m, plus]
+
+    @pytest.mark.parametrize("edit", [_halve_and_negate_v2, _tilt_v2], ids=["spectrum", "hermiticity"])
+    def test_covariance_off_its_structure_refused(self, chain2, monkeypatch, edit):
+        self._patched_block_eig(monkeypatch, edit.__func__)
+        with pytest.raises(NumericDegeneracyError, match="covariance misses"):
+            deviations.riccati_max(chain2, [0.3, 0.0])
+
+    @pytest.mark.parametrize(
+        "spec,alpha",
+        [
+            (chain.ChainSpec(length=3, beta0=5.0, betaL=-5.0), [34.5, -36.8]),
+            (chain.ChainSpec(length=4, beta0=-20.0, betaL=20.0), [-50.0, 0.0]),
+            (chain.ChainSpec(length=6), [0.5, -49.2]),
+        ],
+        ids=["L3-cold-hot", "L4-hot-cold", "L6"],
+    )
+    def test_covariance_at_large_alpha_against_mpmath(self, spec, alpha):
+        # X_w spans many decades here: forming it and inverting 1 + X loses 4.7e-7, 3.5e-7
+        # and 0.075 against this reference, while the solve with V1 + e^{-cw} V2 meets it to rounding
+        model = chain.build(spec)
+        cov = deviations.riccati_max(model, alpha).covariance.maj
+        assert np.max(np.abs(cov - _mp_blocks_covariance(model, alpha))) <= 1e-11
+
     @pytest.mark.parametrize("n,beta", [(2, 20.0), (2, 30.0), (2, 40.0), (4, 40.0), (2, -40.0), (4, -40.0)])
     def test_extreme_baths_match_fock(self, n, beta):
         # cold: X_w is about 0, so X_{-w} = conj(X_w)^{-1} is lost to rounding and the -w covariance needs the mirror;
-        # hot: X_w itself is about e^{40}, and the solve may refuse with a numeric error, never a bare numpy one
+        # hot: X_w itself is about e^{40}, which the covariance V1 (V1 + e^{-cw} V2)^{-1} never forms
         model = chain.build(chain.ChainSpec(length=n, beta0=beta, betaL=beta))
         for a in ([0.0, 0.0], [0.3, 0.0], [-0.4, 0.2]):
-            try:
-                spec = deviations.riccati_max(model, a)
-            except deviations.NUMERIC_ERRORS:
-                if beta > 0:
-                    raise
-                continue
+            spec = deviations.riccati_max(model, a)
             lam, rho_a, _ = fock.dominant_eigenvalue(fock.build_deformed(model, a))
             assert abs(spec.e_value - lam.real) <= 1e-8
             assert np.max(np.abs(fock.covariance_of(rho_a).maj - spec.covariance.maj)) <= 1e-7
@@ -527,9 +577,9 @@ class TestDerivatives:
         models = [chain.build(chain.ChainSpec(length=n)) for n in (2, 5)]
         models.append(chain.build(chain.ChainSpec(length=3, beta0=10.0, betaL=0.0)))
         r = np.random.default_rng(31)
-        for kind, n in (("uniform", 2), ("uniform", 3), ("spectral", 2), ("spectral", 3), ("spectral", 4)):
+        for kind, n in (("uniform", 2), ("uniform", 3), ("spectral", 2), ("uniform", 3), ("uniform", 4)):
             models.append(random_thermal_model(r, n_modes=n, n_baths=2, kind=kind))
-        # the L=2 pairing draw has e = 0 identically, the other two do not
+        # the L=2 pairing draw has e = 0 identically; the two gauge-invariant draws after it do not
         assert max(abs(deviations.e_alpha(models[-3], [a, 0.0])) for a in (-3.0, 5.0)) <= 1e-12
         assert min(abs(deviations.e_alpha(m, [2.0, 0.0])) for m in models[-2:]) > 1e-3
         models += _many_bath_draws().values()
@@ -683,6 +733,23 @@ def _mp_e_alpha(model, alpha, dps=60):
         return float(mp.re(sum(x for x in lam if mp.re(x) > 0) / 2 - tr / 4))
 
 
+def _mp_block_z(b, alpha):
+    """Z_w(alpha) of the float64 block ``b``, unshifted, exponentiated in mpmath at its working precision."""
+    import mpmath as mp
+
+    m = b.a.shape[0]
+    grow = [mp.exp(mp.mpf(float(x)) * mp.mpf(b.w)) for x in alpha]
+    z = mp.zeros(2 * m)
+    for r in range(m):
+        for c in range(m):
+            k = r * m + c
+            z[r, c] = mp.mpc(b.a[r, c])
+            z[m + r, m + c] = -mp.conj(mp.mpc(b.a[c, r]))
+            z[r, m + c] = sum(g * mp.mpc(x) for g, x in zip(grow, b.c_plus[:, k]))
+            z[m + r, c] = sum(mp.mpc(x) / g for g, x in zip(grow, b.c_minus[:, k]))
+    return z
+
+
 def _mp_blocks_e(model, alpha, dps=60):
     """e(alpha) from the float64 eigenspace blocks of ``model``, exponentiated and diagonalised in mpmath."""
     import mpmath as mp
@@ -690,19 +757,31 @@ def _mp_blocks_e(model, alpha, dps=60):
     with mp.workdps(dps):
         total = 0
         for b in deviations._factors(model):
-            m = b.a.shape[0]
-            grow = [mp.exp(mp.mpf(float(x)) * mp.mpf(b.w)) for x in alpha]
-            z = mp.zeros(2 * m)
-            for r in range(m):
-                for c in range(m):
-                    k = r * m + c
-                    z[r, c] = mp.mpc(b.a[r, c])
-                    z[m + r, m + c] = -mp.conj(mp.mpc(b.a[c, r]))
-                    z[r, m + c] = sum(g * mp.mpc(x) for g, x in zip(grow, b.c_plus[:, k]))
-                    z[m + r, c] = sum(mp.mpc(x) / g for g, x in zip(grow, b.c_minus[:, k]))
-            lam = mp.eig(z, left=False, right=False)
+            lam = mp.eig(_mp_block_z(b, alpha), left=False, right=False)
             total += sum(x for x in lam if mp.re(x) > 0) / 2 - mp.mpf(b.trace) / 4
         return float(mp.re(total))
+
+
+def _mp_blocks_covariance(model, alpha, dps=60):
+    """(1 + X)^{-1} from the float64 eigenspace blocks of ``model``, every block (w < 0 included) solved in mpmath.
+
+    X_w = V2 V1^{-1} from the right-half-plane eigenvectors [V1; V2] of Z_w(alpha), unshifted.
+    """
+    import mpmath as mp
+
+    cov = 0.0
+    with mp.workdps(dps):
+        for b in deviations._factors(model):
+            m = b.a.shape[0]
+            lam, v = mp.eig(_mp_block_z(b, alpha))
+            plus = [k for k in range(2 * m) if mp.re(lam[k]) > 0]
+            assert len(plus) == m
+            v1 = mp.matrix([[v[r, k] for k in plus] for r in range(m)])
+            v2 = mp.matrix([[v[m + r, k] for k in plus] for r in range(m)])
+            cw = mp.inverse(mp.eye(m) + v2 * mp.inverse(v1))
+            cw = np.array([[complex(cw[r, c]) for c in range(m)] for r in range(m)])
+            cov = cov + b.u @ cw @ b.u.conj().T
+    return 0.5 * (cov + cov.conj().T)
 
 
 class TestSectorSplit:
@@ -765,13 +844,18 @@ class TestSectorSplit:
         # both baths reach both blocks; at |alpha| >= 30 some |Re lambda| fall
         # to about 1e-11, next to others of 1e8, and still add up to e
         for seed in range(100, 110):
-            model = random_thermal_model(np.random.default_rng(seed), n_modes=4, n_baths=2, kind="spectral")
+            model = random_thermal_model(np.random.default_rng(seed), n_modes=4, n_baths=2, kind="uniform")
             for a in (30.0, -30.0, 50.0, -50.0):
                 ref = _mp_blocks_e(model, [a, 0.0])
                 assert abs(deviations.e_alpha(model, [a, 0.0]) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 class TestPairingModels:
+    def test_fewer_baths_than_modes_refused(self):
+        # each bath of a pairing draw locks onto one +-omega pair
+        with pytest.raises(MalformedInputError, match="n_baths >= n_modes"):
+            random_thermal_model(np.random.default_rng(0), n_modes=3, n_baths=2, kind="spectral")
+
     def test_no_exchange_between_energies(self):
         # each bath attaches to its own kappa_S eigenvalue, so e is identically 0
         for seed in range(60):
