@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -115,15 +116,16 @@ class _Block:
     a: np.ndarray        # A_w
     c_plus: np.ndarray   # (n_baths, m * m): n_i(w) D_iw, flattened
     c_minus: np.ndarray  # (n_baths, m * m): (1 - n_i(w)) D_iw = expit(-beta_i w) D_iw, flattened
+    z0: np.ndarray       # diag(A_w, -A_w^*): Z_w with its off-diagonal blocks zero
+    tilt: np.ndarray     # alpha - c at alpha = e_0, c the block's shift: Z_w(a e_0 - c) = z(a * tilt)
+    c0: np.ndarray       # (2, m, m): bath 0's terms C+_0 = n_0(w) D_0w and C-_0 of B+ and B-
 
     def z(self, alpha: np.ndarray) -> np.ndarray:
         """Z_w(alpha), filled in place (np.block costs as much as a small eigensolve)."""
         m = self.a.shape[0]
-        z = np.empty((2 * m, 2 * m), dtype=complex)
-        z[:m, :m] = self.a
+        z = self.z0.copy()
         z[:m, m:] = (np.exp(alpha * self.w) @ self.c_plus).reshape(m, m)
         z[m:, :m] = (np.exp(-alpha * self.w) @ self.c_minus).reshape(m, m)
-        z[m:, m:] = -self.a.conj().T
         return z
 
     def shift(self, alpha: np.ndarray) -> float:
@@ -144,16 +146,16 @@ def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
     tol = ps.CLUSTER_RTOL * max(1.0, max(map(abs, ws)))
     ws = [0.0 if abs(w) <= tol else w for w in ws]
     modes = [model.bath_modes(i) for i in range(model.n_baths)]
-    scales = [max(1.0, np.linalg.norm(tb, 2)) for _, _, tb in modes]
+    scales = [max(1.0, _norm2(tb)) for _, _, tb in modes]
     nb, blocks, worst = model.n_baths, [], 0.0
     for w, u in zip(ws, us):
-        m = u.shape[1]
+        m, uh = u.shape[1], u.conj().T
         d = np.empty((nb, m, m), dtype=complex)
         for i, ((wb, _, tb), scale) in enumerate(zip(modes, scales)):
             at = np.abs(wb - w) <= tol  # bath i's eigenmodes at energy w
-            t = u.conj().T @ tb[:, at]
+            t = uh @ tb[:, at]
             # U^* (Theta_i kappa_i - kappa_S Theta_i) on the discarded eigenmodes
-            off = np.linalg.norm((u.conj().T @ tb[:, ~at]) * (wb[~at] - w), 2) / scale
+            off = _norm2((uh @ tb[:, ~at]) * (wb[~at] - w)) / scale
             if off > ps.DEFAULT_TOL:
                 raise MalformedInputError(
                     f"bath {i} couples {off:.3e} (relative) outside its energy support at kappa_S "
@@ -162,10 +164,17 @@ def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
             worst = max(worst, off)
             d[i] = t @ t.conj().T
         n = expit(model.betas * w)
-        a = -1j * u.conj().T @ model.t_s.maj @ u + np.tensordot(n - 0.5, d, axes=1)
+        a = -1j * uh @ model.t_s.maj @ u + ((n - 0.5) @ d.reshape(nb, m * m)).reshape(m, m)
         trace = float(np.trace(d, axis1=1, axis2=2).real.sum())
-        d = d.reshape(nb, m * m)
-        parts = (np.flatnonzero(np.any(d, axis=1)), u, a, n[:, None] * d, expit(-model.betas * w)[:, None] * d)
+        c_plus, c_minus = n[:, None, None] * d, expit(-model.betas * w)[:, None, None] * d
+        z0 = np.zeros((2 * m, 2 * m), dtype=complex)
+        z0[:m, :m], z0[m:, m:] = a, -a.conj().T
+        baths = np.flatnonzero(np.any(d, axis=(1, 2)))
+        # the shift is the centre of alpha_i over the baths that reach U: at a e_0 it is a times 1, 1/2 or 0
+        e0 = (np.arange(nb) == 0).astype(float)
+        tilt = e0 - (0.5 * (e0[baths].max() + e0[baths].min()) if baths.size else 0.0)
+        c0 = np.stack([c_plus[0], c_minus[0]]) if nb else np.zeros((2, m, m), dtype=complex)  # a closed system
+        parts = (baths, u, a, c_plus.reshape(nb, m * m), c_minus.reshape(nb, m * m), z0, tilt, c0)
         blocks.append(_Block(w, 2 if w > 0 else int(w == 0), trace, *map(_frozen, parts)))
     log.debug("out-of-support coupling %.3e relative to max(1, ||Theta_i||), limit %.1e", worst, ps.DEFAULT_TOL)
     for b, p in zip(blocks, reversed(blocks)):
@@ -180,6 +189,11 @@ def _build_factors(model: ThermalQuasiFreeModel) -> tuple:
                 f"the block at {p.w:.6g} has dimension {p.a.shape[0]}, trace {p.trace:.6g}"
             )
     return tuple(blocks)
+
+
+def _norm2(x: np.ndarray) -> float:
+    """The spectral norm of x (0 for an empty x): ``np.linalg.norm(x, 2)`` without its wrapper's overhead."""
+    return float(np.linalg.svd(x, compute_uv=False).max(initial=0.0))
 
 
 # Models are immutable, so their factors are cached by identity and freed with them.
@@ -232,20 +246,18 @@ class DeformedSpectrum:
     covariance: PhaseSpaceMatrix
 
 
-def _block_eig(b: _Block, alpha: np.ndarray) -> tuple:
-    """``(c, Z_w(alpha - c), lambda, eigenvectors, Re lambda > 0)`` for the block's shift c.
+def _block_eig(b: _Block, z: np.ndarray) -> tuple:
+    """``(lambda, eigenvectors, Re lambda > 0, smallest |Re lambda|)`` of the block's shifted Z_w.
 
     DegenerateSpectrumError unless m eigenvalues lie right of the axis and none within SPLIT_TOL of it.
     """
-    c = b.shift(alpha)
-    z = b.z(alpha - c)
     lam, v = np.linalg.eig(z)
     plus = lam.real > 0
     margin = np.abs(lam.real).min()
     k = np.count_nonzero(plus)
     if k != b.a.shape[0] or margin < SPLIT_TOL:
         raise DegenerateSpectrumError(f"{k} of {lam.size} eigenvalues right of the axis; smallest |Re| {margin:.1e}")
-    return c, z, lam, v, plus
+    return lam, v, plus, margin
 
 
 def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
@@ -269,14 +281,15 @@ def riccati_max(model: ThermalQuasiFreeModel, alpha) -> DeformedSpectrum:
     cov = np.zeros((2 * model.n_modes, 2 * model.n_modes), dtype=complex)
     abs_re, margin, worst = 0.0, np.inf, 0.0
     for b in blocks:
-        c, _, lam, v, plus = _block_eig(b, alpha)
+        c = b.shift(alpha)
+        lam, v, plus, small = _block_eig(b, b.z(alpha - c))
         m = b.a.shape[0]
         w = v[:m, plus] + np.exp(-c * b.w) * v[m:, plus]
         cond = np.linalg.cond(w)
         if not np.isfinite(cond) or cond > 1e12:
             raise NumericDegeneracyError(f"V1 + e^(-cw) V2 is singular (cond {cond:.3e})")
         abs_re += b.weight * np.abs(lam.real).sum()
-        margin, worst = min(margin, np.abs(lam.real).min()), max(worst, cond)
+        margin, worst = min(margin, small), max(worst, cond)
         uc = b.u @ np.linalg.solve(w.T, v[:m, plus].T).T @ b.u.conj().T
         cov += uc
         if b.w > 0:
@@ -310,28 +323,38 @@ def e_derivatives(model: ThermalQuasiFreeModel, a: float) -> tuple[float, float,
     MalformedInputError for a non-finite a, NotErgodicError if no bath reaches
     a block, DegenerateSpectrumError as ``_block_eig`` does, and
     NumericDegeneracyError when cond(X) (Frobenius norm) passes 1e12.
+    ``rate_function`` evaluates through the same ``_derivatives``.
     """
-    alpha = _check_alpha(model, [a] + [0.0] * (model.n_baths - 1))
-    blocks = _ergodic_factors(model)
-    abs_re, d1, d2 = 0.0, 0.0, 0.0
+    a = float(_check_alpha(model, [a] + [0.0] * (model.n_baths - 1))[0])
+    return _derivatives(_ergodic_factors(model), a)[:3]
+
+
+def _derivatives(blocks: list, a: float) -> tuple:
+    """``e_derivatives`` on the w >= 0 ``blocks`` of ``_ergodic_factors``, unchecked.
+
+    Returns ``(e, e', e'', smallest |Re lambda|, worst cond(X))``: the last
+    two are the margins of the ``_block_eig`` split and of the cond(X) refusal.
+    """
+    abs_re, d1, d2, margin, worst = 0.0, 0.0, 0.0, np.inf, 0.0
     for b in blocks:
-        c, _, lam, x, plus = _block_eig(b, alpha)
-        m = b.a.shape[0]
+        m, shifted = b.a.shape[0], a * b.tilt
+        lam, x, plus, small = _block_eig(b, b.z(shifted))
         y = np.linalg.inv(x)
-        cond = np.linalg.norm(x) * np.linalg.norm(y)
-        if not np.isfinite(cond) or cond > 1e12:
+        cond = math.sqrt(np.vdot(x, x).real * np.vdot(y, y).real)  # ||X|| ||Y||, Frobenius
+        if not cond <= 1e12:
             raise NumericDegeneracyError(f"eigenvector matrix is singular (cond {cond:.3e})")
         abs_re += b.weight * np.abs(lam.real).sum()
-        tilt = np.exp((a - c) * b.w)
+        margin, worst = min(margin, small), max(worst, cond)
+        tilt = np.exp(shifted[0] * b.w)  # e^{(a - c) w}
         # Y Z_w' X = p - q and Y Z_w'' X = w (p + q)
-        p = y[:, :m] @ ((tilt * b.w) * b.c_plus[0].reshape(m, m)) @ x[m:]
-        q = y[:, m:] @ ((b.w / tilt) * b.c_minus[0].reshape(m, m)) @ x[:m]
-        mm = p - q
-        cross = mm[plus][:, ~plus] * mm[~plus][:, plus].T / (lam[plus, None] - lam[None, ~plus])
+        p = y[:, :m] @ ((tilt * b.w) * b.c0[0]) @ x[m:]
+        q = y[:, m:] @ ((b.w / tilt) * b.c0[1]) @ x[:m]
+        mm, minus = p - q, ~plus
+        cross = mm[plus][:, minus] * mm[minus][:, plus].T / (lam[plus, None] - lam[None, minus])
         d1 += 0.5 * b.weight * np.diagonal(mm)[plus].sum().real
         d2 += 0.5 * b.weight * (b.w * np.diagonal(p + q)[plus].sum() + 2.0 * cross.sum()).real
     e = 0.25 * abs_re - 0.25 * sum(b.weight * b.trace for b in blocks)
-    return float(e), float(d1), float(d2)
+    return float(e), float(d1), float(d2), margin, worst
 
 
 # ---------------------------------------------------------------------------
@@ -372,31 +395,39 @@ class RateCurve:
         return out.getvalue()
 
 
-def _legendre_point(model: ThermalQuasiFreeModel, zeta: float, start: float, alpha_max: float, counts: dict):
+def _legendre_point(evaluate, zeta: float, start: float, alpha_max: float, counts: dict, known=None):
     """The maximizer of a zeta - e(a e_0) on |a| <= alpha_max: the root of e'(a) = zeta.
 
+    ``evaluate(a)`` returns ``(e, e', e'')`` at a e_0; ``known``, when given,
+    is that triple at ``start`` (within +-alpha_max) and stands in for the
+    first evaluation.
     e is convex, so e' - zeta is increasing: by its sign, each evaluation
     moves one end of a bracket [lo, hi] onto the point.  Newton starts from
     ``start``.  Once both ends are set, a step that leaves the bracket, or
     one longer than half the step before last (the rtsafe rule against
     cycling), bisects it instead; until then a step is taken as it is,
     except that one reaching past +-alpha_max evaluates that bound.  Stops
-    once a step or the bracket is within XTOL.  Returns ``(a, e(a),
-    converged)``; at a bound where e' - zeta has not changed sign the
-    supremum is not attained and converged is False.
+    once a step or the bracket is within XTOL.  Returns ``(a, (e, e', e''),
+    converged)`` at the last point evaluated; at a bound where e' - zeta has
+    not changed sign the supremum is not attained and converged is False.
     """
     lo, hi = -np.inf, np.inf
     a = float(np.clip(start, -alpha_max, alpha_max))
     step = older = np.inf
     while True:
-        e, d1, d2 = e_derivatives(model, a)
-        counts["evaluations"] += 1
+        if known is not None:
+            at, known = known, None
+            counts["reused"] += 1
+        else:
+            at = evaluate(a)
+            counts["evaluations"] += 1
+        e, d1, d2 = at
         g = d1 - zeta
         if g == 0.0:
-            return a, e, True
+            return a, at, True
         bound = alpha_max if g < 0 else -alpha_max
         if a == bound:
-            return a, e, False
+            return a, at, False
         if g < 0:
             lo = a
         else:
@@ -409,7 +440,7 @@ def _legendre_point(model: ThermalQuasiFreeModel, zeta: float, start: float, alp
             nxt, kind = 0.5 * (lo + hi), "bisections"
         older, step = step, nxt - a
         if kind != "probes" and (abs(step) <= XTOL or hi - lo <= XTOL):
-            return a, e, True
+            return a, at, True
         counts[kind] += 1
         a = nxt
 
@@ -425,33 +456,49 @@ def rate_function(
     Any number of baths; with two, translation invariance e(alpha + c 1) =
     e(alpha) makes it the full two-bath rate function.  Each point solves
     e'(a) = zeta by safeguarded Newton (``_legendre_point``), warm-started
-    from the previous grid point's maximizer; points whose root lies beyond
+    from the last converged point's maximizer with the evaluation made
+    there, so its first step costs none; points whose root lies beyond
     |alpha| <= alpha_max, or where an evaluation inside the search fails
     numerically (one of NUMERIC_ERRORS), are reported as I = +inf with
     ``converged`` False, and the next point is searched.  A model with a
     kappa_S eigenspace that no bath reaches raises NotErgodicError instead;
     a non-finite zeta or alpha_max, or alpha_max <= 0, MalformedInputError.
+    The DEBUG line counts the evaluations, the reused ones and the search
+    steps, and gives the smallest |Re lambda| and the worst cond(X) met.
     """
     zeta_grid = np.asarray(zeta_grid, dtype=float)
     if not (np.isfinite(zeta_grid).all() and np.isfinite(alpha_max) and alpha_max > 0):
         raise MalformedInputError(f"need finite zetas and a finite positive alpha_max, got alpha_max {alpha_max}")
-    counts = dict.fromkeys(("evaluations", "newton", "bisections", "probes"), 0)
+    counts = dict.fromkeys(("evaluations", "reused", "newton", "bisections", "probes"), 0)
+    blocks, margin, worst = None, np.inf, 0.0
+
+    def evaluate(a: float) -> tuple:
+        # the blocks are resolved by the first evaluation, so a failed mirror guard fails each point as it did
+        nonlocal blocks, margin, worst
+        if blocks is None:
+            blocks = _ergodic_factors(model)
+        e, d1, d2, small, cond = _derivatives(blocks, a)
+        margin, worst = min(margin, small), max(worst, cond)
+        return e, d1, d2
+
     points = []
-    warm = 0.0
+    warm, known = 0.0, None
     for zeta in map(float, zeta_grid):
         try:
-            astar, e, converged = _legendre_point(model, zeta, warm, alpha_max, counts)
+            astar, at, converged = _legendre_point(evaluate, zeta, warm, alpha_max, counts, known)
         except NUMERIC_ERRORS:
             points.append(RatePoint(zeta=zeta, rate=np.inf, alpha_star=np.nan, converged=False))
             continue
-        rate = astar * zeta - e if converged else np.inf
+        rate = astar * zeta - at[0] if converged else np.inf
         points.append(RatePoint(zeta=zeta, rate=rate, alpha_star=astar, converged=converged))
         if converged:
-            warm = astar
+            warm, known = astar, at
     n = max(len(points), 1)
     log.debug(
-        "%d points, %.2f evaluations and %.2f Newton steps per point, %d bisections, %d probes of +-alpha_max",
+        "%d points, %.2f evaluations and %.2f Newton steps per point, %d bisections, %d probes of +-alpha_max, "
+        "%d evaluations reused, smallest |Re lambda| %.3e, worst cond(X) %.3e",
         len(points), counts["evaluations"] / n, counts["newton"] / n, counts["bisections"], counts["probes"],
+        counts["reused"], margin, worst,
     )
     meta = dict(metadata or {})
     meta.setdefault("alpha_max", alpha_max)

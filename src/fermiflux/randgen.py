@@ -32,6 +32,8 @@ from .errors import MalformedInputError
 from .phasespace import Basis, CouplingMatrix, PhaseSpaceMatrix
 from .thermal import BathSpec, ThermalQuasiFreeModel
 
+KINDS = ("uniform", "spectral", "tr_broken")
+
 
 def _random_antisym(rng, n: int) -> np.ndarray:
     r = rng.normal(size=(n, n))
@@ -100,7 +102,13 @@ def random_thermal_model(
     kind: str | None = None,
     ensure_ergodic: bool = True,
 ) -> ThermalQuasiFreeModel:
-    """Draw a random valid model; rejection-samples to full Kalman rank, up to 50 draws."""
+    """Draw a random valid model; rejection-samples to full Kalman rank, up to 50 draws.
+
+    ``kind`` is one of KINDS, or None for a random choice of ``spectral`` and
+    ``uniform``; any other value is refused with MalformedInputError.
+    """
+    if kind is not None and kind not in KINDS:
+        raise MalformedInputError(f"unknown model kind {kind!r}: expected one of {', '.join(KINDS)}")
     for _ in range(50):
         lm = n_modes if n_modes is not None else int(rng.integers(1, 4))
         nb = n_baths if n_baths is not None else int(rng.integers(2, 5))

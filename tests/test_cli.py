@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fermiflux import chain, cli, deviations, thermal, unravel
+from fermiflux import phasespace as ps
 from fermiflux.errors import InternalConsistencyError
 from fermiflux.randgen import random_thermal_model
 
@@ -223,7 +224,7 @@ def _failing_past(fn, limit):
 
 class TestNumericFailure:
     def test_rate_marks_points_and_exits_4(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(deviations, "e_derivatives", _failing_past(deviations.e_derivatives, 1.0))
+        monkeypatch.setattr(deviations, "_derivatives", _failing_past(deviations._derivatives, 1.0))
         out = tmp_path / "rate.csv"
         code = run_cli([
             "rate", "--chain-L", "2", "--zeta-min", "0.05", "--zeta-max", "0.5",
@@ -234,6 +235,17 @@ class TestNumericFailure:
         assert len(rows) == 4
         assert rows[0][3] == "1" and float(rows[0][1]) < 1e-2
         assert rows[-1][1] == "inf" and rows[-1][3] == "0"
+
+    def test_rate_of_unpaired_blocks_keeps_rows_and_exits_4(self, tmp_path, monkeypatch):
+        # a kappa_S block without its mirror fails each rate point; the rows are still written
+        kappa, eigenspaces = chain.build(chain.ChainSpec(length=2)).kappa_s.maj, ps.eigenspaces
+        monkeypatch.setattr(
+            ps, "eigenspaces", lambda h: eigenspaces(h)[1:] if np.array_equal(h, kappa) else eigenspaces(h)
+        )
+        out = tmp_path / "rate.csv"
+        assert run_cli(["rate", "--chain-L", "2", "--points", "3", "--out", str(out)]) == 4
+        _, rows = read_rows(out)
+        assert [r[1:] for r in rows] == [["inf", "nan", "0"]] * 3
 
     def test_e_alpha_keeps_rows_and_exits_4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(deviations, "e_alpha", _failing_past(deviations.e_alpha, 1.0))

@@ -56,7 +56,8 @@ def _z_matrix(model, alpha):
 
 def _eig_block_x(b, alpha):
     """X_w = e^{-cw} V2 V1^{-1} from the right-half-plane eigenvectors [V1; V2] of ``deviations._block_eig``."""
-    c, _, _, v, plus = deviations._block_eig(b, alpha)
+    c = b.shift(alpha)
+    _, v, plus, _ = deviations._block_eig(b, b.z(alpha - c))
     m = b.a.shape[0]
     return np.exp(-c * b.w) * (v[m:, plus] @ np.linalg.inv(v[:m, plus]))
 
@@ -396,10 +397,10 @@ class TestRiccati:
         """Route ``_block_eig`` through ``edit(v, plus, m)``, which alters the eigenvector matrix in place."""
         block_eig = deviations._block_eig
 
-        def patched(b, alpha):
-            c, z, lam, v, plus = block_eig(b, alpha)
+        def patched(b, z):
+            lam, v, plus, margin = block_eig(b, z)
             edit(v, plus, b.a.shape[0])
-            return c, z, lam, v, plus
+            return lam, v, plus, margin
 
         monkeypatch.setattr(deviations, "_block_eig", patched)
 
@@ -644,34 +645,33 @@ class TestLegendreNewton:
         model = chain.build(spec)
         ref = _golden_legendre(model, zetas)
         calls = []
-        inner = deviations.e_derivatives
+        inner = deviations._derivatives
 
-        def counted(m, a):
+        def counted(blocks, a):
             calls.append(a)
-            return inner(m, a)
+            return inner(blocks, a)
 
-        monkeypatch.setattr(deviations, "e_derivatives", counted)
+        monkeypatch.setattr(deviations, "_derivatives", counted)
         curve = deviations.rate_function(model, zetas)
         assert all(p.converged for p in curve.points)
         assert np.max(np.abs(curve.rates - ref)) <= 1e-12
         assert len(calls) <= 8 * len(zetas)
         for p in curve.points:
-            _, d1, _ = inner(model, p.alpha_star)
+            _, d1, _ = deviations.e_derivatives(model, p.alpha_star)
             assert abs(d1 - p.zeta) <= 1e-9
 
     @pytest.mark.parametrize("start", [1.3917452002707348, 3.0, -20.0])
-    def test_bracket_rescues_newton(self, chain2, monkeypatch, start):
+    def test_bracket_rescues_newton(self, start):
         # with e'(a) = arctan(a), plain Newton for e'(a) = 0 cycles between
         # +-1.3917452 and overshoots from further out
-        def arctan_cgf(model, a):
+        def arctan_cgf(a):
             calls.append(a)
             assert len(calls) <= 20
             return a * np.arctan(a) - 0.5 * np.log1p(a * a), np.arctan(a), 1.0 / (1.0 + a * a)
 
         calls = []
-        monkeypatch.setattr(deviations, "e_derivatives", arctan_cgf)
         counts = dict.fromkeys(("evaluations", "newton", "bisections", "probes"), 0)
-        a, _, converged = deviations._legendre_point(chain2, 0.0, start, 50.0, counts)
+        a, _, converged = deviations._legendre_point(arctan_cgf, 0.0, start, 50.0, counts)
         assert converged and abs(a) <= 1e-10
         assert counts["bisections"] >= 1 and counts["evaluations"] == len(calls)
 
@@ -691,6 +691,88 @@ class TestLegendreNewton:
         assert 1.0 <= float(words[2]) <= 8.0
         assert 0.0 <= float(words[5]) < float(words[2])
         assert words[10:12] == ["0", "bisections,"]
+        # each point after the first starts from the last one's evaluation
+        assert words[16:19] == ["4", "evaluations", "reused,"]
+        # the smallest |Re lambda| and worst cond(X) met: inside the refusals, and those of one evaluation
+        margin, cond = float(words[22].rstrip(",")), float(words[25])
+        assert words[19:22] == ["smallest", "|Re", "lambda|"] and words[23:25] == ["worst", "cond(X)"]
+        assert deviations.SPLIT_TOL <= margin < np.inf and 1.0 <= cond <= 1e12
+        _, _, _, small, worst = deviations._derivatives(deviations._ergodic_factors(chain2), 0.0)
+        assert margin <= small and cond >= worst
+
+    @pytest.mark.parametrize("length", [2, 6, 10])
+    def test_two_evaluations_per_point(self, length, caplog):
+        # the paper's grid: every point but the first reuses the evaluation its warm start ended on
+        with caplog.at_level(logging.DEBUG, logger="fermiflux.deviations"):
+            curve = deviations.rate_function(chain.build(chain.ChainSpec(length=length)), self.GRID)
+        words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.deviations"][-1].split()
+        assert all(p.converged for p in curve.points)
+        assert float(words[2]) <= 2.02
+
+    CURVES = {
+        "L2-grid": (chain.ChainSpec(length=2), GRID, deviations.ALPHA_MAX),
+        "L6-grid": (chain.ChainSpec(length=6, theta0=0.95, thetaL=1.05, beta0=1.1, betaL=0.05), GRID[::4], 50.0),
+        "L2-tails": (chain.ChainSpec(length=2), np.r_[np.linspace(-1.0, -0.3, 4), np.linspace(1.5, 3.0, 4)], 50.0),
+        "L3-hot-cold": (chain.ChainSpec(length=3, beta0=10.0, betaL=0.0), GRID[::8], 50.0),
+        "unattained": (chain.ChainSpec(length=2), np.array([-0.3, -0.1, 0.2, 0.3]), 0.05),
+    }
+
+    @pytest.mark.parametrize("case", [*CURVES, "three-baths", "failures"])
+    def test_reuse_matches_the_loop_without_it(self, case, monkeypatch, caplog):
+        if case == "three-baths":
+            model, zetas, alpha_max = _many_bath_draws()["uniform-L3-3baths"], np.linspace(-0.2, 0.2, 9), 50.0
+        else:
+            spec, zetas, alpha_max = self.CURVES.get(case, self.CURVES["L2-grid"])
+            model = chain.build(spec)
+        if case == "failures":
+            # points past |a| = 0.5 fail inside their search: the next point starts from the last converged one
+            inner = deviations._derivatives
+
+            def failing(blocks, a):
+                if abs(a) > 0.5:
+                    raise InternalConsistencyError("injected numeric failure")
+                return inner(blocks, a)
+
+            monkeypatch.setattr(deviations, "_derivatives", failing)
+        calls = []
+        evaluate = deviations._derivatives
+
+        def counted(blocks, a):
+            calls.append(a)
+            return evaluate(blocks, a)
+
+        monkeypatch.setattr(deviations, "_derivatives", counted)
+        with caplog.at_level(logging.DEBUG, logger="fermiflux.deviations"):
+            text = deviations.rate_function(model, zetas, alpha_max=alpha_max).to_csv()
+        reused = int([r.getMessage() for r in caplog.records if r.name == "fermiflux.deviations"][-1].split()[16])
+        made = len(calls)
+        ref = _rate_without_reuse(model, zetas, alpha_max)
+        assert text == ref
+        # the same evaluations, less the repeated warm starts
+        assert len(calls) - made == made + reused
+        assert reused == 0 if case == "unattained" else reused > 0
+        if case == "failures":
+            assert "inf,nan,0" in text and ",1\n" in text
+
+
+def _rate_without_reuse(model, zetas, alpha_max):
+    """The CSV of ``rate_function`` from the per-point loop that evaluated each warm start again."""
+    counts = dict.fromkeys(("evaluations", "newton", "bisections", "probes"), 0)
+    points, warm = [], 0.0
+    for zeta in map(float, zetas):
+        try:
+            a, at, converged = deviations._legendre_point(
+                lambda x: deviations.e_derivatives(model, x), zeta, warm, alpha_max, counts
+            )
+        except deviations.NUMERIC_ERRORS:
+            points.append(deviations.RatePoint(zeta=zeta, rate=np.inf, alpha_star=np.nan, converged=False))
+            continue
+        rate = a * zeta - at[0] if converged else np.inf
+        points.append(deviations.RatePoint(zeta=zeta, rate=rate, alpha_star=a, converged=converged))
+        if converged:
+            warm = a
+    meta = {"alpha_max": alpha_max, "xtol": deviations.XTOL}
+    return deviations.RateCurve(points=points, metadata=meta).to_csv()
 
 
 def _half_spectrum_e(model, a):
@@ -855,6 +937,12 @@ class TestPairingModels:
         # each bath of a pairing draw locks onto one +-omega pair
         with pytest.raises(MalformedInputError, match="n_baths >= n_modes"):
             random_thermal_model(np.random.default_rng(0), n_modes=3, n_baths=2, kind="spectral")
+
+    @pytest.mark.parametrize("kind", ["pairing", "Uniform", ""])
+    def test_unknown_kind_refused(self, kind):
+        # no family is drawn in its place
+        with pytest.raises(MalformedInputError, match="uniform, spectral, tr_broken"):
+            random_thermal_model(np.random.default_rng(0), n_modes=2, n_baths=2, kind=kind)
 
     def test_no_exchange_between_energies(self):
         # each bath attaches to its own kappa_S eigenvalue, so e is identically 0
@@ -1126,7 +1214,7 @@ class TestMirrorBlocks:
     def test_half_the_blocks_solved(self, monkeypatch):
         solved = []
         block_eig, eigvals = deviations._block_eig, np.linalg.eigvals
-        monkeypatch.setattr(deviations, "_block_eig", lambda b, alpha: solved.append(b.w) or block_eig(b, alpha))
+        monkeypatch.setattr(deviations, "_block_eig", lambda b, z: solved.append(b.w) or block_eig(b, z))
         monkeypatch.setattr(np.linalg, "eigvals", lambda z: solved.append(None) or eigvals(z))
         cases = [(chain.build(chain.ChainSpec(length=n)), 1) for n in range(2, 11)]
         cases += [(_many_bath_draws()[f"spectral-L3-{nb}baths"], 3) for nb in (3, 4)]
@@ -1160,6 +1248,16 @@ class TestMirrorBlocks:
             deviations.e_alpha(model, _along_bath0(model, 0.3))
         with pytest.raises(InternalConsistencyError, match="has no mirror"):
             deviations.riccati_max(model, _along_bath0(model, 0.3))
+
+    def test_unpaired_block_fails_each_rate_point(self, monkeypatch):
+        # the mirror guard's InternalConsistencyError is a numeric failure of every point, not of the curve
+        model = chain.build(chain.ChainSpec(length=2))
+        kappa, eigenspaces = model.kappa_s.maj, ps.eigenspaces
+        monkeypatch.setattr(
+            ps, "eigenspaces", lambda h: eigenspaces(h)[1:] if np.array_equal(h, kappa) else eigenspaces(h)
+        )
+        curve = deviations.rate_function(model, [0.0, 0.05, 0.1])
+        assert [(p.rate, np.isnan(p.alpha_star), p.converged) for p in curve.points] == [(np.inf, True, False)] * 3
 
     @pytest.mark.parametrize("rotated", [False, True], ids=["embedded", "rotated"])
     def test_zero_energy_block(self, rotated):
