@@ -276,7 +276,8 @@ def _oracle_checks(model, n_alpha, seed):
     """The fock-vs-phase-space equivalence suite; yields (name, residual, tolerance)."""
     report = thermal.residual_report(model)
     yield "model_structure", max(report.values()), 1e-10
-    lam0, rho_inf, _ = fock.dominant_eigenvalue(fock.build_lindbladian(model))
+    k = fock.pseudo_energy(model)
+    lam0, rho_inf, _ = fock.dominant_eigenvalue(fock.build_lindbladian(model), k)
     yield "generator_zero_mode", abs(lam0), 1e-9
     m_lyap = dynamics.stationary_covariance(model)
     yield "stationary_covariance", float(
@@ -294,7 +295,7 @@ def _oracle_checks(model, n_alpha, seed):
     worst_cov = 0.0
     for _ in range(n_alpha):
         a = rng.uniform(-0.5, 0.5, size=model.n_baths)
-        lam, rho_a, _ = fock.dominant_eigenvalue(fock.build_deformed(model, a))
+        lam, rho_a, _ = fock.dominant_eigenvalue(fock.build_deformed(model, a), k)
         spec = deviations.riccati_max(model, a)
         worst_e = max(worst_e, abs(lam.real - spec.e_value))
         worst_cov = max(

@@ -92,6 +92,9 @@ ALPHA_MAX = 50.0
 XTOL = 1e-10
 # largest ``phasespace.covariance_residuals`` entry of a covariance that riccati_max returns
 COVARIANCE_TOL = 1e-7
+# largest |alpha_i - c| w at which a block is assembled: e^700 (about 1e304) leaves the couplings
+# four decades before a double overflows
+EXP_MAX = 700.0
 # failures of the spectral evaluation itself, reported as non-convergence
 NUMERIC_ERRORS = (DegenerateSpectrumError, NumericDegeneracyError, InternalConsistencyError)
 
@@ -121,11 +124,20 @@ class _Block:
     c0: np.ndarray       # (2, m, m): bath 0's terms C+_0 = n_0(w) D_0w and C-_0 of B+ and B-
 
     def z(self, alpha: np.ndarray) -> np.ndarray:
-        """Z_w(alpha), filled in place (np.block costs as much as a small eigensolve)."""
+        """Z_w(alpha), filled in place (np.block costs as much as a small eigensolve).
+
+        NumericDegeneracyError once some |alpha_i| w passes EXP_MAX, before e^{+-alpha_i w} overflows.
+        """
         m = self.a.shape[0]
+        x = alpha * self.w
+        top = max(map(abs, x.tolist()), default=0.0)  # cheaper than np.abs(x).max() for a few baths
+        if top > EXP_MAX:
+            raise NumericDegeneracyError(
+                f"|alpha_i - c| w reaches {top:.6g} at w = {self.w:.6g}, past {EXP_MAX:g}: e^(+-(alpha_i - c) w) overflows"
+            )
         z = self.z0.copy()
-        z[:m, m:] = (np.exp(alpha * self.w) @ self.c_plus).reshape(m, m)
-        z[m:, :m] = (np.exp(-alpha * self.w) @ self.c_minus).reshape(m, m)
+        z[:m, m:] = (np.exp(x) @ self.c_plus).reshape(m, m)
+        z[m:, :m] = (np.exp(-x) @ self.c_minus).reshape(m, m)
         return z
 
     def shift(self, alpha: np.ndarray) -> float:

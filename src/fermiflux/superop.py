@@ -47,23 +47,26 @@ def sandwich(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b.T)
 
 
-def kraus_map(ks) -> np.ndarray:
-    """Superoperator rho -> sum_k K_k rho K_k^dagger of a stack of Kraus operators."""
+def kraus_map(ks, out=None) -> np.ndarray:
+    """Superoperator rho -> sum_k K_k rho K_k^dagger of a stack of Kraus operators.
+
+    With ``out`` (a contiguous d^2 x d^2 array) the map is added into it and
+    ``out`` is returned, without a second d^2 x d^2 temporary.
+    """
     ks = np.asarray(ks)
     d = ks.shape[-1]
     flat = ks.reshape(-1, d * d)
-    # entry [(a, c), (b, d)] is sum_k K_ab conj(K_cd), i.e. sum_k K kron conj(K)
-    return (flat.T @ flat.conj()).reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
+    # entry [(a, c), (b, e)] is sum_k K_ab conj(K_ce), i.e. sum_k K kron conj(K)
+    terms = (flat.T @ flat.conj()).reshape(d, d, d, d).swapaxes(1, 2)
+    if out is None:
+        return terms.reshape(d * d, d * d)
+    out.reshape(d, d, d, d)[...] += terms
+    return out
 
 
 def kraus_rate(ks) -> np.ndarray:
     """The rate operator sum_k K_k^dagger K_k, the Heisenberg image of 1."""
     return np.einsum("kab,kac->bc", np.conj(ks), ks)
-
-
-def commutator_super(h: np.ndarray) -> np.ndarray:
-    """Superoperator rho -> [h, rho]."""
-    return left_mul(h) - right_mul(h)
 
 
 def anticommutator_super(h: np.ndarray) -> np.ndarray:
@@ -178,10 +181,16 @@ class LindbladModel:
         return piece
 
     def generator(self, scales=None) -> np.ndarray:
-        """-i[H, rho] + the bath pieces in bath order; ``scales[i]`` tilts bath i's jumps."""
-        out = -1j * commutator_super(self.hamiltonian)
-        for i in range(self.n_baths):
-            out += self.bath_piece(i, None if scales is None else scales[i])
+        """G rho + rho G^dagger (G = ``no_jump()``) + each bath's jumps in bath order; ``scales[i]`` tilts bath i's.
+
+        The no-jump part is one left and one right multiplication; ``bath_piece``
+        builds one bath's share for ``fluxes``.
+        """
+        g = self.no_jump()
+        out = left_mul(g)
+        out += right_mul(g.conj().T)
+        for i, ks in enumerate(self.kraus):
+            kraus_map(ks if scales is None else scales[i][:, None, None] * ks, out=out)
         return out
 
     def no_jump(self) -> np.ndarray:

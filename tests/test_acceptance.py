@@ -166,7 +166,7 @@ def test_criterion_5_rate_function_figures():
 
 def _fock_legendre(model, zeta, a):
     """Fock-oracle Legendre objective a zeta - e((a, 0)), from the deformed generator."""
-    lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, np.array([a, 0.0])))
+    lam, _, _ = fock.dominant_eigenvalue(fock.build_deformed(model, np.array([a, 0.0])), fock.pseudo_energy(model))
     return a * zeta - lam.real
 
 

@@ -257,6 +257,29 @@ class TestNumericFailure:
         assert abs(float(rows[0][2]) - 0.036025584191812676) < 1e-10
 
 
+    def test_e_alpha_past_overflow_keeps_rows_and_exits_4(self, tmp_path, caplog):
+        # alpha = (1500, 0) puts e^{(alpha_i - c) w} at e^750: refused before it overflows
+        out = tmp_path / "e.csv"
+        code = run_cli(["e-alpha", "--chain-L", "2", "--alpha=0.3,0", "--alpha=1500,0", "--out", str(out)])
+        assert code == 4
+        _, rows = read_rows(out)
+        assert len(rows) == 1
+        assert abs(float(rows[0][2]) - 0.036025584191812676) < 1e-10
+        assert "overflows" in caplog.text
+
+    def test_rate_past_overflow_marks_point_and_exits_4(self, tmp_path):
+        # zeta = 1e300 drives the search to the bound a = 3000, past the overflow
+        out = tmp_path / "rate.csv"
+        code = run_cli([
+            "rate", "--chain-L", "2", "--zeta-min", "1", "--zeta-max", "1e300", "--points", "2",
+            "--alpha-max", "3000", "--out", str(out),
+        ])
+        assert code == 4
+        _, rows = read_rows(out)
+        assert rows[0][3] == "1"
+        assert rows[1][1:] == ["inf", "nan", "0"]
+
+
 class TestRate:
     def test_single_curve(self, tmp_path):
         out = tmp_path / "rate.csv"
@@ -376,6 +399,19 @@ class TestOracle:
         failed = {r[0] for r in rows if r[3] == "0"}
         assert "model_structure" in failed
         assert any(name.startswith("detailed_balance") for name in failed)
+
+    def test_jumps_not_k_eigenoperators_abort(self, tmp_path):
+        # kappa_S = T_S still commutes with H, but the end-site jumps no longer shift K by fixed energies
+        doc = thermal.model_to_dict(chain.build(chain.ChainSpec(length=2, beta0=1.0, betaL=0.0)))
+        doc["kappa_S"] = doc["T_S"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        code = run_cli(["oracle", "--model", str(path), "--alpha-samples", "2", "--out", str(out)])
+        assert code == 5
+        _, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["model_structure", "aborted"]
+        assert rows[0][3] == "0" and rows[1][3] == "0"
 
     def test_non_ergodic_exit_code(self, tmp_path, capsys):
         out = tmp_path / "oracle.csv"

@@ -184,6 +184,13 @@ class TestZMatrix:
         expected = np.sort(np.concatenate([-ts, ts]))
         assert np.max(np.abs(lam - expected)) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [[1500.0, 0.0], [0.0, -1500.0]])
+    def test_overflow_refused(self, chain2, alpha):
+        # the shift c = alpha_0 / 2 leaves |alpha_i - c| w = 750 > EXP_MAX
+        for solve in (deviations.e_alpha, deviations.riccati_max):
+            with pytest.raises(NumericDegeneracyError, match="overflows"):
+                solve(chain2, alpha)
+
     def test_chain_gap_from_axis(self, chain2):
         z = _z_matrix(chain2, [0.3, 0.0])
         lam = np.linalg.eigvals(z)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fermiflux import chain, dynamics, fock, thermal
+from fermiflux import chain, dynamics, fock, randgen, thermal
 from fermiflux import phasespace as ps
 from fermiflux import superop as so
 from fermiflux.errors import MalformedInputError, ResourceLimitError
@@ -203,8 +203,9 @@ def _kernel_route_deformed(model, alpha):
         w, n, t = model.bath_modes(i)
         tilted += (t * (n * np.exp(a * w))) @ t.conj().T
     phi_one = so.unvec(kernel_map(model.noise_total(), gammas) @ so.vec(np.eye(dim)))
+    h = fock.system_hamiltonian(model)
     return (
-        -1j * so.commutator_super(fock.system_hamiltonian(model))
+        -1j * (so.left_mul(h) - so.right_mul(h))
         + so.adjoint_super(kernel_map(tilted, gammas))
         - 0.5 * so.anticommutator_super(phi_one)
     )
@@ -380,12 +381,107 @@ class TestEvenSector:
 
     def test_solve_logged(self, chain2, caplog):
         with caplog.at_level(logging.DEBUG, logger="fermiflux.fock"):
-            lam, _, gap = fock.dominant_eigenvalue(fock.build_deformed(chain2, [0.3, 0.0]))
+            lam, _, gap = fock.dominant_eigenvalue(fock.build_deformed(chain2, [0.3, 0.0]), fock.pseudo_energy(chain2))
         words = [r.getMessage() for r in caplog.records if r.name == "fermiflux.fock"][-1].split()
-        assert words[:3] == ["even", "sector", "dim"] and words[4:6] == ["leading", "eigenvalue"] and words[7] == "gap"
-        assert int(words[3].rstrip(",")) == 4**chain2.n_modes // 2
-        assert complex(words[6].rstrip(",")) == lam
-        assert float(words[8]) == pytest.approx(gap, rel=1e-6)
+        assert words[:3] == ["K", "sector", "dim"] and words[4] == "of" and words[6] == "even,"
+        assert words[7] == "leak" and words[9] == "of" and words[11:13] == ["leading", "eigenvalue"]
+        assert words[14] == "gap"
+        assert int(words[3]) == 6  # C(4, 2): the operators |a><b| with N_a = N_b
+        assert int(words[5]) == 4**chain2.n_modes // 2
+        assert float(words[8]) <= float(words[10].rstrip(",")) == fock.SECTOR_LEAK_TOL
+        assert complex(words[13].rstrip(",")) == lam
+        assert float(words[15]) == pytest.approx(gap, rel=1e-6)
+
+
+def _resonant_pairing_model():
+    """An L = 3 pairing model whose kappa_S energies satisfy w1 + w2 = w3.
+
+    A ``spectral`` draw with its three energies moved to (w1, w2, w1 + w2) on
+    the same eigenvectors, each bath's energy following its pair; T_S and
+    the couplings are kept.  The K levels |110> (even) and |001> (odd) then
+    coincide.
+    """
+    base = randgen._spectral_model(np.random.default_rng(2), 3, 3)
+    w, v = np.linalg.eigh(base.kappa_s.maj)  # -w3, -w2, -w1, w1, w2, w3
+    old = w[3:]
+    new = np.array([old[0], old[1], old[0] + old[1]])
+    kappa = PhaseSpaceMatrix((v * np.concatenate([-new[::-1], new])) @ v.conj().T, Basis.MAJORANA)
+    baths = []
+    for b in base.baths:
+        omega = new[np.argmin(np.abs(old - b.kappa.ca[0, 0].real))]
+        baths.append(thermal.BathSpec(b.beta, PhaseSpaceMatrix(omega * np.diag([1.0, -1.0]), Basis.CA), b.theta))
+    return thermal.ThermalQuasiFreeModel(t_s=base.t_s, kappa_s=kappa, baths=tuple(baths))
+
+
+class TestPseudoEnergySector:
+    @pytest.mark.parametrize("name", SECTOR_MODELS)
+    def test_matches_full_space_solve(self, name):
+        model = SECTOR_MODELS[name]
+        k = fock.pseudo_energy(model)
+        w_max = np.abs(np.linalg.eigvalsh(model.kappa_s.maj)).max()
+        for alpha in _sector_alphas(model):
+            if np.abs(alpha).max() * w_max > 30.0:
+                continue  # past the Fock oracle's alpha range, as in TestEvenSector
+            gen = fock.build_deformed(model, alpha)
+            lam, rho, _ = fock.dominant_eigenvalue(gen, k)
+            lam_full, rho_full = _full_space_dominant(gen)
+            assert abs(lam - lam_full) <= 1e-12, alpha
+            assert np.max(np.abs(rho - rho_full)) <= 1e-12, alpha
+
+    def test_resonant_levels_keep_their_parity(self):
+        model = _resonant_pairing_model()
+        assert max(thermal.residual_report(model).values()) < 1e-12
+        assert dynamics.kalman_rank(model)[1]
+        k = fock.pseudo_energy(model)
+        parity = np.array([bin(a).count("1") & 1 for a in range(8)])
+        e_even = np.linalg.eigvalsh(k[np.ix_(parity == 0, parity == 0)])
+        e_odd = np.linalg.eigvalsh(k[np.ix_(parity == 1, parity == 1)])
+        assert np.abs(e_even[:, None] - e_odd[None, :]).min() < 1e-12  # an even and an odd level coincide
+        for alpha in _sector_alphas(model):
+            gen = fock.build_deformed(model, alpha)
+            lam, rho, _ = fock.dominant_eigenvalue(gen, k)
+            lam_full, rho_full = _full_space_dominant(gen)
+            assert abs(lam - lam_full) <= 1e-12, alpha
+            assert np.max(np.abs(rho - rho_full)) <= 1e-12, alpha
+
+    @pytest.mark.parametrize("entry", [(0, 3), (3, 0)], ids=["sector-row", "sector-column"])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_off_sector_entry_refused(self, chain2, entry, factor):
+        # vec positions 0 = |00><00| (in the sector) and 3 = |00><11| (even, N_a - N_b = -2)
+        gen = fock.build_lindbladian(chain2)
+        gen[entry] = factor * fock.SECTOR_LEAK_TOL * np.abs(gen).max()
+        if factor < 1.0:
+            fock.dominant_eigenvalue(gen, fock.pseudo_energy(chain2))
+        else:
+            with pytest.raises(MalformedInputError, match="sector of K"):
+                fock.dominant_eigenvalue(gen, fock.pseudo_energy(chain2))
+        fock.dominant_eigenvalue(gen)  # K = 0: the entry lies inside the even sector
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    def test_no_k_is_the_even_sector(self, n_modes):
+        assert np.array_equal(fock._even_basis(n_modes), np.eye(4**n_modes // 2))
+
+    def test_k_shape_refused(self, chain2):
+        with pytest.raises(MalformedInputError, match="conserved observable"):
+            fock.dominant_eigenvalue(fock.build_lindbladian(chain2), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            chain.build(chain.ChainSpec(length=6)),
+            randgen.random_thermal_model(np.random.default_rng(1), n_modes=6, n_baths=6, kind="spectral"),
+        ],
+        ids=["chain", "spectral"],
+    )
+    def test_six_modes_match_riccati(self, model):
+        from fermiflux import deviations
+
+        alpha = np.linspace(0.4, -0.3, model.n_baths)
+        lam, rho, _ = fock.dominant_eigenvalue(fock.build_deformed(model, alpha), fock.pseudo_energy(model))
+        spec = deviations.riccati_max(model, alpha)
+        assert abs(lam.real - deviations.e_alpha(model, alpha)) <= 1e-8
+        assert abs(lam.real - spec.e_value) <= 1e-8
+        assert np.max(np.abs(fock.covariance_of(rho).maj - spec.covariance.maj)) <= 1e-7
 
 
 class TestDiscreteStep:
